@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate vet heraldvet smoke chaos replay doclint staticcheck vulncheck
+.PHONY: build test race dse-stress bench bench-json bench-gate vet heraldvet smoke chaos replay doclint staticcheck vulncheck
 
 build:
 	$(GO) build ./...
 
-# vet is the tier-1 static gate: the stock toolchain vet plus
-# heraldvet, the repo's own analyzer suite (determinism, lock
-# discipline, JSON zero-value contracts — see internal/analysis).
+# vet is the tier-1 static gate: gofmt (any unformatted file fails),
+# the stock toolchain vet, and heraldvet, the repo's own analyzer
+# suite (determinism, lock discipline, JSON zero-value contracts — see
+# internal/analysis).
+GOFMT ?= gofmt
 vet:
+	@unformatted=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) heraldvet
 
@@ -26,6 +30,13 @@ test:
 # serving engine, the fleet dispatcher).
 race:
 	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet
+
+# dse-stress reruns the pruned-search equivalence suite 50 times at 1,
+# 2, 4 and 8 procs: the Random strategy samples with replacement, and a
+# duplicate sample's design-point name must not depend on which sweep
+# worker reaches it first.
+dse-stress:
+	$(GO) test ./internal/dse -run TestPrunedSearchEquivalence -count=50 -cpu 1,2,4,8
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): fleet
@@ -70,11 +81,11 @@ vulncheck:
 # and on exported identifiers in the serving-tier packages missing
 # doc comments. CI runs this per PR.
 doclint:
-	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,cmd/heraldplay
+	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,cmd/heraldplay,cmd/internal/cli
 
 # bench runs the full benchmark suite once per benchmark (short form:
 # the perf trajectory gate wants per-PR numbers, not nanosecond-grade
-# stability) and writes the machine-readable BENCH_PR4.json.
+# stability) and writes the machine-readable $(BENCH_OUT).
 BENCH_OUT ?= BENCH_PR6.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | tee bench.out

@@ -35,14 +35,16 @@
 // decayed instead of all-time.
 //
 // -resweep-every N periodically re-runs the partition DSE on the
-// observed tenant mix. Alone it is a log-only probe; with
-// -repartition the probe becomes a control loop that live-migrates
-// the fleet to the winning partition (spawn new replica engines,
-// drain the old generation, hand tenants over) when the winner beats
-// the serving partition by -repartition-threshold for
+// observed tenant mix. Alone it is a log-only probe; -repartition or
+// -elastic turns it into the period of the fleet controller, in one of
+// its two presets. -repartition is the migration-only ladder: it
+// live-migrates the fleet to the winning partition (spawn new replica
+// engines, drain the old generation, hand tenants over) when the
+// winner beats the serving partition by -repartition-threshold for
 // -repartition-confirm consecutive probes, then rests for
-// -repartition-cooldown probes (anti-flap). See docs/OPERATIONS.md
-// for the full runbook.
+// -repartition-cooldown probes (anti-flap). -elastic re-slices PEs in
+// place first and migrates only on persistent unreachable drift. See
+// docs/OPERATIONS.md for the full runbook.
 //
 // Fault tolerance (see docs/OPERATIONS.md, "Failure handling"):
 // -faults injects a deterministic, cycle-scheduled fault plan
@@ -86,12 +88,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	herald "repro"
+	"repro/cmd/internal/cli"
 )
 
 func main() {
@@ -110,18 +112,8 @@ func main() {
 	replicas := flag.Int("replicas", 1, "replica serving engines; > 1 serves a fleet")
 	fleetPolicy := flag.String("fleet-policy", "cost-aware", "fleet routing policy: round-robin, least-outstanding, cost-aware")
 	fleetTopK := flag.Bool("fleet-topk", false, "heterogeneous fleet: replicas take the top-K bootstrap-DSE points instead of K copies of the best")
-	resweepEvery := flag.Duration("resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition)")
-	repartition := flag.Bool("repartition", false, "act on the resweep probe: live-migrate the fleet to the winning partition (requires -resweep-every)")
-	repartitionThreshold := flag.Float64("repartition-threshold", 0.05, "minimum fractional objective improvement before migrating (0.05 = winner must be 5% better; 0 = any improvement)")
-	repartitionConfirm := flag.Int("repartition-confirm", 2, "consecutive probes that must agree on the winner before migrating (hysteresis, >= 1)")
-	repartitionCooldown := flag.Int("repartition-cooldown", 3, "observation-only probes after each migration (anti-flap; 0 = none)")
-	elastic := flag.Bool("elastic", false, "act on the resweep period with the elastic (intra-HDA) controller: re-slice PEs between sub-accelerators at layer boundaries instead of migrating, escalating to a migration only on persistent unreachable drift (requires -resweep-every; mutually exclusive with -repartition)")
-	elasticThreshold := flag.Float64("elastic-threshold", 0.02, "minimum fractional objective improvement before a PE reassignment (0 = any improvement)")
-	elasticQuantum := flag.Int("elastic-quantum", 0, "PEs one reassignment moves between two sub-accelerators (0 = class PEs / 16)")
-	elasticEscalate := flag.Int("elastic-escalate-after", 3, "consecutive unreachable-drift holds before the elastic controller escalates to a full migration")
-	elasticEscalateThreshold := flag.Float64("elastic-escalate-threshold", 0.10, "minimum sustained sweep-winner improvement that counts as unreachable drift")
-	elasticPreemptBelow := flag.Int("elastic-preempt-below", 0, "SLA-risk trigger: preempt requests with priority strictly below this when new violations appear (0 = off)")
-	elasticPreemptMax := flag.Int("elastic-preempt-max", 2, "preemptions per replica per elastic step")
+	resweepEvery := flag.Duration("resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition or -elastic)")
+	ctrlFlags := cli.RegisterControllerFlags(flag.CommandLine, "every -resweep-every period", "-resweep-every > 0")
 	fuse := flag.Bool("fuse", false, "layer-fused segment serving: decompose each request into its model's winning segment chain so consecutive requests pipeline across sub-accelerators")
 	maxSegments := flag.Int("max-segments", 4, "upper bound on segments per fused request (with -fuse; >= 2)")
 	mixHalfLife := flag.Int("mix-half-life", 0, "observed-mix half-life in submissions for resweep probes (0 = all-time counts)")
@@ -140,21 +132,9 @@ func main() {
 	if *replicas < 1 {
 		log.Fatalf("-replicas must be >= 1 (got %d)", *replicas)
 	}
-	if *repartition && *resweepEvery <= 0 {
-		log.Fatal("-repartition needs -resweep-every > 0 (the probe period is the control period)")
-	}
-	if *elastic && *resweepEvery <= 0 {
-		log.Fatal("-elastic needs -resweep-every > 0 (the probe period is the control period)")
-	}
-	if *elastic && *repartition {
-		log.Fatal("-elastic and -repartition are mutually exclusive (the elastic controller escalates to migrations on its own)")
-	}
-	if *elasticEscalate < 1 {
-		log.Fatalf("-elastic-escalate-after must be >= 1 (got %d)", *elasticEscalate)
-	}
-	if *elasticPreemptBelow < 0 || *elasticPreemptMax < 1 {
-		log.Fatalf("-elastic-preempt-below must be >= 0 and -elastic-preempt-max >= 1 (got %d, %d)",
-			*elasticPreemptBelow, *elasticPreemptMax)
+	ctrlOpts, err := ctrlFlags.Options(*resweepEvery > 0)
+	if err != nil {
+		log.Fatal(err)
 	}
 	var faultPlan *herald.FaultPlan
 	if *faultsFlag != "" {
@@ -169,7 +149,7 @@ func main() {
 		if *fleetTopK {
 			log.Fatal("-fleet-topk needs the bootstrap DSE; it cannot be combined with -partition")
 		}
-		parts, err := parsePartition(*partitionFlag)
+		parts, err := cli.ParsePartition(*partitionFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -199,7 +179,7 @@ func main() {
 	// The elastic controller's SLA-risk trigger checkpoints and resumes
 	// placements at layer boundaries; the engines must track revocable
 	// placements for that (the reassignment path needs nothing extra).
-	srvOpts.Elastic = *elastic
+	srvOpts.Elastic = ctrlFlags.Elastic
 
 	// Trace capture: the recorder hooks the engine's (or fleet's)
 	// OnAccept, so the trace is exactly the accepted-submission
@@ -230,11 +210,11 @@ func main() {
 		if *maxSegments < 2 {
 			log.Fatalf("-fuse needs -max-segments >= 2 (got %d)", *maxSegments)
 		}
-		objOpts, err := searchOptions("exhaustive", *objectiveFlag)
+		objOpts, err := cli.SearchOptions("exhaustive", *objectiveFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
-		plans, err = fusionPlans(cache, hdas[0], objOpts.Objective, *maxSegments, log.Printf)
+		plans, err = cli.FusionPlans(cache, hdas[0], objOpts.Objective, *maxSegments, log.Printf)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -287,7 +267,7 @@ func main() {
 			},
 		}
 		if *resweepEvery > 0 {
-			sw, err := resweepSweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, *strategyFlag, *objectiveFlag)
+			sw, err := cli.Sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, *strategyFlag, *objectiveFlag)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -317,58 +297,18 @@ func main() {
 		if *shedSLAFactor > 0 {
 			log.Printf("overload shedding on: budget %gx SLA (-shed-sla-factor)", *shedSLAFactor)
 		}
-		if *resweepEvery > 0 {
-			if *elastic {
-				// The library treats 0 as "default"; at the flag level an
-				// explicit 0 means "any improvement".
-				threshold := *elasticThreshold
-				if threshold == 0 {
-					threshold = 1e-12
-				}
-				ctrl, err := herald.NewElasticController(fl, herald.ElasticOptions{
-					ReassignThreshold: threshold,
-					PEQuantum:         *elasticQuantum,
-					EscalateAfter:     *elasticEscalate,
-					EscalateThreshold: *elasticEscalateThreshold,
-					PreemptBelow:      *elasticPreemptBelow,
-					PreemptMax:        *elasticPreemptMax,
-					Logf:              log.Printf,
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("elastic controller every %v (reassign threshold %.3g, escalate after %d at %.3g, preempt below %d max %d)",
-					*resweepEvery, *elasticThreshold, *elasticEscalate, *elasticEscalateThreshold,
-					*elasticPreemptBelow, *elasticPreemptMax)
-				// The signal context stops the controller before the drain.
-				go ctrl.Run(ctx, *resweepEvery)
-			} else if *repartition {
-				// The library treats 0 as "default"; at the flag level an
-				// explicit 0 means "none" (the flag defaults are non-zero).
-				threshold, cooldown := *repartitionThreshold, *repartitionCooldown
-				if threshold == 0 {
-					threshold = 1e-12
-				}
-				if cooldown == 0 {
-					cooldown = -1
-				}
-				ctrl, err := herald.NewRepartitionController(fl, herald.RepartitionOptions{
-					Threshold: threshold,
-					Confirm:   *repartitionConfirm,
-					Cooldown:  cooldown,
-					Logf:      log.Printf,
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("repartition controller every %v (threshold %.3g, confirm %d, cooldown %d)",
-					*resweepEvery, *repartitionThreshold, *repartitionConfirm, *repartitionCooldown)
-				// The signal context stops the controller before the drain.
-				go ctrl.Run(ctx, *resweepEvery)
-			} else {
-				log.Printf("resweep probe every %v (log-only; add -repartition to act on it)", *resweepEvery)
-				go resweepLoop(ctx, fl, *resweepEvery, log.Printf)
+		if ctrlOpts != nil {
+			ctrlOpts.Logf = log.Printf
+			ctrl, err := herald.NewElasticController(fl, *ctrlOpts)
+			if err != nil {
+				log.Fatal(err)
 			}
+			log.Printf("%s every %v", ctrlFlags, *resweepEvery)
+			// The signal context stops the controller before the drain.
+			go ctrl.Run(ctx, *resweepEvery)
+		} else if *resweepEvery > 0 {
+			log.Printf("resweep probe every %v (log-only; add -repartition or -elastic to act on it)", *resweepEvery)
+			go resweepLoop(ctx, fl, *resweepEvery, log.Printf)
 		}
 	}
 
@@ -408,28 +348,6 @@ func main() {
 	}
 }
 
-// resweepSweeper builds the reusable partition-search handle the fleet
-// probes with: the bootstrap space, in pruned best-only mode (a probe
-// only needs the winner).
-func resweepSweeper(cache *herald.CostCache, class herald.Class, stylesCSV string, peUnits, bwUnits int, strategy, objective string) (*herald.Sweeper, error) {
-	var styles []herald.Style
-	for _, s := range strings.Split(stylesCSV, ",") {
-		st, err := herald.ParseStyle(strings.TrimSpace(s))
-		if err != nil {
-			return nil, err
-		}
-		styles = append(styles, st)
-	}
-	opts, err := searchOptions(strategy, objective)
-	if err != nil {
-		return nil, err
-	}
-	opts.BestOnly = true
-	opts.Prune = true
-	sp := herald.SearchSpace{Class: class, Styles: styles, PEUnits: peUnits, BWUnits: bwUnits}
-	return herald.NewSweeper(cache, sp, opts)
-}
-
 // resweepLoop periodically fires resweepProbe and logs the outcome
 // until ctx (the daemon's signal context) is cancelled.
 func resweepLoop(ctx context.Context, fl *herald.Fleet, every time.Duration, logf func(string, ...any)) {
@@ -447,7 +365,7 @@ func resweepLoop(ctx context.Context, fl *herald.Fleet, every time.Duration, log
 
 // resweepProbe runs one observed-mix resweep and renders the log line:
 // what partition today's traffic would pick. It never acts on the
-// result — that is the -repartition controller's job.
+// result — that is the controller's job (-repartition / -elastic).
 func resweepProbe(fl *herald.Fleet) string {
 	res, err := fl.Resweep(nil)
 	if err != nil {
@@ -455,29 +373,6 @@ func resweepProbe(fl *herald.Fleet) string {
 	}
 	return fmt.Sprintf("resweep probe: observed mix would pick %v (EDP %.4g J*s, latency %.3f ms; %d evaluated, %d pruned)",
 		res.Best.HDA, res.Best.EDP, res.Best.LatencySec*1e3, res.Explored, res.Pruned)
-}
-
-// fusionPlans computes the winning segment chain of every zoo model
-// that splits on the serving HDA; models whose best plan is a single
-// segment stay unfused and are simply left out of the map.
-func fusionPlans(cache *herald.CostCache, hda *herald.HDA, objective herald.SearchObjective, maxSegments int, logf func(string, ...any)) (map[string]herald.SegmentPlan, error) {
-	plans := make(map[string]herald.SegmentPlan)
-	for _, name := range herald.ModelNames() {
-		m, err := herald.ModelByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := herald.PlanSegments(cache, hda, m, objective, maxSegments)
-		if err != nil {
-			return nil, err
-		}
-		if p.NumSegments() > 1 {
-			plans[name] = p
-			logf("  fusion plan %s: %d segments (period %d cycles, chain %d cycles)",
-				name, p.NumSegments(), p.PeriodCycles, p.ChainCycles)
-		}
-	}
-	return plans, nil
 }
 
 // repeatHDA builds a homogeneous replica list.
@@ -505,19 +400,15 @@ func topKHDAs(res *herald.SearchResult, objective herald.SearchObjective, n int)
 // workload; the caller picks the best point (homogeneous serving) or
 // the top-K (heterogeneous fleet).
 func bootstrapSearch(cache *herald.CostCache, class herald.Class, stylesCSV string, peUnits, bwUnits int, strategy, objective, bootstrap string) (*herald.SearchResult, herald.SearchObjective, error) {
-	var styles []herald.Style
-	for _, s := range strings.Split(stylesCSV, ",") {
-		st, err := herald.ParseStyle(strings.TrimSpace(s))
-		if err != nil {
-			return nil, 0, err
-		}
-		styles = append(styles, st)
+	styles, err := cli.ParseStyles(stylesCSV)
+	if err != nil {
+		return nil, 0, err
 	}
 	w, err := bootstrapWorkload(bootstrap)
 	if err != nil {
 		return nil, 0, err
 	}
-	opts, err := searchOptions(strategy, objective)
+	opts, err := cli.SearchOptions(strategy, objective)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -527,32 +418,6 @@ func bootstrapSearch(cache *herald.CostCache, class herald.Class, stylesCSV stri
 		return nil, 0, fmt.Errorf("bootstrap DSE: %w", err)
 	}
 	return res, opts.Objective, nil
-}
-
-// searchOptions resolves the -strategy and -objective flags.
-func searchOptions(strategy, objective string) (herald.SearchOptions, error) {
-	opts := herald.DefaultSearchOptions()
-	switch strategy {
-	case "exhaustive":
-		opts.Strategy = herald.Exhaustive
-	case "binary":
-		opts.Strategy = herald.Binary
-	case "random":
-		opts.Strategy = herald.Random
-	default:
-		return opts, fmt.Errorf("unknown strategy %q", strategy)
-	}
-	switch objective {
-	case "edp":
-		opts.Objective = herald.ObjectiveEDP
-	case "latency":
-		opts.Objective = herald.ObjectiveLatency
-	case "energy":
-		opts.Objective = herald.ObjectiveEnergy
-	default:
-		return opts, fmt.Errorf("unknown objective %q", objective)
-	}
-	return opts, nil
 }
 
 func bootstrapWorkload(name string) (*herald.Workload, error) {
@@ -565,28 +430,4 @@ func bootstrapWorkload(name string) (*herald.Workload, error) {
 		return herald.MLPerf(1), nil
 	}
 	return nil, fmt.Errorf("unknown bootstrap workload %q (want arvr-a, arvr-b, mlperf)", name)
-}
-
-func parsePartition(s string) ([]herald.Partition, error) {
-	var parts []herald.Partition
-	for _, item := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(item), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("partition %q: want style:pes:bw", item)
-		}
-		st, err := herald.ParseStyle(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		pes, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: bad PEs: %v", item, err)
-		}
-		bw, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: bad bandwidth: %v", item, err)
-		}
-		parts = append(parts, herald.Partition{Style: st, PEs: pes, BWGBps: bw})
-	}
-	return parts, nil
 }

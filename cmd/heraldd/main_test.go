@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	herald "repro"
+	"repro/cmd/internal/cli"
 )
 
 func TestBootstrapWorkload(t *testing.T) {
@@ -27,21 +29,6 @@ func TestBootstrapWorkload(t *testing.T) {
 	}
 	if _, err := bootstrapWorkload("nope"); err == nil {
 		t.Error("unknown bootstrap workload accepted")
-	}
-}
-
-func TestParsePartition(t *testing.T) {
-	parts, err := parsePartition("nvdla:512:8, shi-diannao:512:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 || parts[0].PEs != 512 || parts[1].BWGBps != 8 {
-		t.Errorf("parts = %+v", parts)
-	}
-	for _, bad := range []string{"nvdla:512", "tpu:512:8", "nvdla:x:8", "nvdla:512:y"} {
-		if _, err := parsePartition(bad); err == nil {
-			t.Errorf("%q: accepted", bad)
-		}
 	}
 }
 
@@ -85,7 +72,7 @@ func TestBootstrapSearch(t *testing.T) {
 // partition the observed mix would pick.
 func TestResweepProbe(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	sw, err := resweepSweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
+	sw, err := cli.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,24 +112,25 @@ func TestResweepProbe(t *testing.T) {
 	}
 
 	// The flag parsers behind the sweeper must keep rejecting garbage.
-	if _, err := resweepSweeper(cache, herald.Edge, "warp", 4, 2, "exhaustive", "edp"); err == nil {
+	if _, err := cli.Sweeper(cache, herald.Edge, "warp", 4, 2, "exhaustive", "edp"); err == nil {
 		t.Error("bad style accepted")
 	}
-	if _, err := resweepSweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "nope", "edp"); err == nil {
+	if _, err := cli.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "nope", "edp"); err == nil {
 		t.Error("bad strategy accepted")
 	}
-	if _, err := resweepSweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "nope"); err == nil {
+	if _, err := cli.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "nope"); err == nil {
 		t.Error("bad objective accepted")
 	}
 }
 
 // TestRepartitionController: the -repartition wiring end to end — a
-// fleet with the flag-built sweeper, serving a partition the live
-// traffic disagrees with, migrates to the traffic's winner on one
-// controller step and keeps serving.
+// fleet with the flag-built sweeper and the flag-built migration-only
+// controller, serving a partition the live traffic disagrees with,
+// migrates to the traffic's winner on one controller step and keeps
+// serving.
 func TestRepartitionController(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	sw, err := resweepSweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
+	sw, err := cli.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +149,16 @@ func TestRepartitionController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := herald.NewRepartitionController(fl, herald.RepartitionOptions{Confirm: 1, Cooldown: 2})
+	fs := flag.NewFlagSet("heraldd", flag.ContinueOnError)
+	ctrlFlags := cli.RegisterControllerFlags(fs, "every -resweep-every period", "-resweep-every > 0")
+	if err := fs.Parse([]string{"-repartition", "-repartition-confirm", "1", "-repartition-cooldown", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	ctrlOpts, err := ctrlFlags.Options(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := herald.NewElasticController(fl, *ctrlOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestRepartitionController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != herald.RepartitionMigrated || fl.Generation() != 1 {
+	if d.Action != herald.ElasticMigrated || fl.Generation() != 1 {
 		t.Fatalf("controller step: %+v (generation %d)", d, fl.Generation())
 	}
 	if !strings.Contains(d.String(), "MIGRATED") {

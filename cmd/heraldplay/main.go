@@ -22,12 +22,13 @@
 // every latency percentile, fault-handling decision and repartition
 // decision — is a pure function of trace order; nothing reads the
 // wall clock. -window sets the window size in trace entries;
-// -repartition steps a repartitioning controller once per full window
-// (the deterministic stand-in for heraldd's -resweep-every ticker);
-// -elastic steps the intra-HDA elastic controller instead (PE
-// reassignment at layer boundaries, escalating to a migration only on
-// persistent unreachable drift) — the two controllers are the A/B arms
-// of a shoot-out and cannot be combined in one run.
+// -repartition steps the fleet controller's migration-only preset once
+// per full window (the deterministic stand-in for heraldd's
+// -resweep-every ticker); -elastic steps its elastic preset instead
+// (PE reassignment at layer boundaries, migrating only on persistent
+// unreachable drift). The flags mean exactly what they mean to heraldd
+// (both parse them in cmd/internal/cli); the two presets are the A/B
+// arms of a shoot-out and cannot be combined in one run.
 //
 // A live incident exports through the daemon: capture the trace with
 // heraldd -capture, export the fault log from GET /v1/fleet/decisions,
@@ -41,10 +42,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	herald "repro"
+	"repro/cmd/internal/cli"
 )
 
 func main() {
@@ -70,18 +71,8 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive replica admission failures that open its circuit breaker")
 	breakerProbeAfter := flag.Int("breaker-probe-after", 8, "fleet dispatches after a breaker opens before it admits a half-open probe")
 
-	window := flag.Int("window", 0, "quiesce-window size in trace entries (0 = whole trace in one window; required by -repartition)")
-	repartition := flag.Bool("repartition", false, "step a repartitioning controller at every full-window boundary (requires -window > 0)")
-	repartitionThreshold := flag.Float64("repartition-threshold", 0.05, "minimum fractional objective improvement before migrating (0 = any improvement)")
-	repartitionConfirm := flag.Int("repartition-confirm", 2, "consecutive window probes that must agree on the winner before migrating")
-	repartitionCooldown := flag.Int("repartition-cooldown", 3, "observation-only probes after each migration (0 = none)")
-	elastic := flag.Bool("elastic", false, "step an elastic (intra-HDA) controller at every full-window boundary (requires -window > 0; mutually exclusive with -repartition)")
-	elasticThreshold := flag.Float64("elastic-threshold", 0.02, "minimum fractional objective improvement before a PE reassignment (0 = any improvement)")
-	elasticQuantum := flag.Int("elastic-quantum", 0, "PEs one reassignment moves between two sub-accelerators (0 = class PEs / 16)")
-	elasticEscalate := flag.Int("elastic-escalate-after", 3, "consecutive unreachable-drift holds before escalating to a full migration")
-	elasticEscalateThreshold := flag.Float64("elastic-escalate-threshold", 0.10, "minimum sustained sweep-winner improvement that counts as drift")
-	elasticPreemptBelow := flag.Int("elastic-preempt-below", 0, "SLA-risk trigger: preempt requests with priority strictly below this on new violations (0 = off)")
-	elasticPreemptMax := flag.Int("elastic-preempt-max", 2, "preemptions per replica per elastic step")
+	window := flag.Int("window", 0, "quiesce-window size in trace entries (0 = whole trace in one window; required by -repartition and -elastic)")
+	ctrlFlags := cli.RegisterControllerFlags(flag.CommandLine, "at every full-window boundary", "-window > 0")
 	stylesFlag := flag.String("styles", "nvdla,shi-diannao", "repartition sweep's sub-accelerator dataflow styles")
 	peUnits := flag.Int("pe-units", 8, "repartition sweep's PE partitioning granularity")
 	bwUnits := flag.Int("bw-units", 4, "repartition sweep's bandwidth partitioning granularity")
@@ -115,7 +106,7 @@ func main() {
 	if *replicas < 1 {
 		log.Fatalf("-replicas must be >= 1 (got %d)", *replicas)
 	}
-	parts, err := parsePartition(*partitionFlag)
+	parts, err := cli.ParsePartition(*partitionFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,68 +145,25 @@ func main() {
 		if *maxSegments < 2 {
 			log.Fatalf("-fuse needs -max-segments >= 2 (got %d)", *maxSegments)
 		}
-		objective, err := parseObjective(*objectiveFlag)
+		objOpts, err := cli.SearchOptions("exhaustive", *objectiveFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Engine-level fusion: each replica engine decomposes and
 		// pipelines internally, which replays deterministically.
-		opts.Fleet.Serve.Plans, err = fusionPlans(cache, hda, objective, *maxSegments)
+		opts.Fleet.Serve.Plans, err = cli.FusionPlans(cache, hda, objOpts.Objective, *maxSegments, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	if *repartition {
-		if *window <= 0 {
-			log.Fatal("-repartition needs -window > 0 (the controller steps once per full window)")
-		}
-		sw, err := sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, *objectiveFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Fleet.Sweeper = sw
-		// The library treats 0 as "default"; at the flag level an
-		// explicit 0 means "none" (the flag defaults are non-zero).
-		threshold, cooldown := *repartitionThreshold, *repartitionCooldown
-		if threshold == 0 {
-			threshold = 1e-12
-		}
-		if cooldown == 0 {
-			cooldown = -1
-		}
-		opts.Controller = &herald.RepartitionOptions{
-			Threshold: threshold,
-			Confirm:   *repartitionConfirm,
-			Cooldown:  cooldown,
-		}
+	if opts.Elastic, err = ctrlFlags.Options(*window > 0); err != nil {
+		log.Fatal(err)
 	}
-	if *elastic {
-		if *window <= 0 {
-			log.Fatal("-elastic needs -window > 0 (the controller steps once per full window)")
-		}
-		if *repartition {
-			log.Fatal("-elastic and -repartition are mutually exclusive (A/B them in separate runs and -diff the digests)")
-		}
-		// The sweeper feeds the escalation check; the elastic controller
-		// works without one but then never migrates.
-		sw, err := sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, *objectiveFlag)
-		if err != nil {
+	if opts.Elastic != nil {
+		// The sweeper feeds the migrate rung; the migration-only preset
+		// needs it, the elastic preset migrates only with it.
+		if opts.Fleet.Sweeper, err = cli.Sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, "exhaustive", *objectiveFlag); err != nil {
 			log.Fatal(err)
-		}
-		opts.Fleet.Sweeper = sw
-		// The library treats 0 as "default"; at the flag level an
-		// explicit 0 means "any improvement".
-		threshold := *elasticThreshold
-		if threshold == 0 {
-			threshold = 1e-12
-		}
-		opts.Elastic = &herald.ElasticOptions{
-			ReassignThreshold: threshold,
-			PEQuantum:         *elasticQuantum,
-			EscalateAfter:     *elasticEscalate,
-			EscalateThreshold: *elasticEscalateThreshold,
-			PreemptBelow:      *elasticPreemptBelow,
-			PreemptMax:        *elasticPreemptMax,
 		}
 	}
 
@@ -306,84 +254,4 @@ func writeOut(path string, b []byte) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// sweeper builds the repartition probe's reusable partition-search
-// handle (pruned best-only mode — a probe only needs the winner).
-func sweeper(cache *herald.CostCache, class herald.Class, stylesCSV string, peUnits, bwUnits int, objective string) (*herald.Sweeper, error) {
-	var styles []herald.Style
-	for _, s := range strings.Split(stylesCSV, ",") {
-		st, err := herald.ParseStyle(strings.TrimSpace(s))
-		if err != nil {
-			return nil, err
-		}
-		styles = append(styles, st)
-	}
-	opts := herald.DefaultSearchOptions()
-	obj, err := parseObjective(objective)
-	if err != nil {
-		return nil, err
-	}
-	opts.Objective = obj
-	opts.BestOnly = true
-	opts.Prune = true
-	sp := herald.SearchSpace{Class: class, Styles: styles, PEUnits: peUnits, BWUnits: bwUnits}
-	return herald.NewSweeper(cache, sp, opts)
-}
-
-func parseObjective(name string) (herald.SearchObjective, error) {
-	switch name {
-	case "edp":
-		return herald.ObjectiveEDP, nil
-	case "latency":
-		return herald.ObjectiveLatency, nil
-	case "energy":
-		return herald.ObjectiveEnergy, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (want edp, latency, energy)", name)
-}
-
-// fusionPlans computes the winning segment chain of every zoo model
-// that splits on the serving HDA (heraldd's -fuse startup, minus the
-// logging).
-func fusionPlans(cache *herald.CostCache, hda *herald.HDA, objective herald.SearchObjective, maxSegments int) (map[string]herald.SegmentPlan, error) {
-	plans := make(map[string]herald.SegmentPlan)
-	for _, name := range herald.ModelNames() {
-		m, err := herald.ModelByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := herald.PlanSegments(cache, hda, m, objective, maxSegments)
-		if err != nil {
-			return nil, err
-		}
-		if p.NumSegments() > 1 {
-			plans[name] = p
-		}
-	}
-	return plans, nil
-}
-
-func parsePartition(s string) ([]herald.Partition, error) {
-	var parts []herald.Partition
-	for _, item := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(item), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("partition %q: want style:pes:bw", item)
-		}
-		st, err := herald.ParseStyle(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		pes, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: bad PEs: %v", item, err)
-		}
-		bw, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: bad bandwidth: %v", item, err)
-		}
-		parts = append(parts, herald.Partition{Style: st, PEs: pes, BWGBps: bw})
-	}
-	return parts, nil
 }

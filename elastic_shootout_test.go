@@ -1,11 +1,11 @@
 package herald
 
 // The elastic-vs-migration controller shoot-out: every committed
-// scenario replays under both control arms — the PR 5 migration
-// controller (re-sweep + full generation migration) and the elastic
-// controller (intra-HDA PE reassignment at layer boundaries, escalation
-// only on persistent unreachable drift) — and the deterministic replay
-// digest adjudicates. Each arm must render byte-identical digests
+// scenario replays under both presets of the fleet controller — the
+// migration-only ladder (reassign rung off: re-sweep + full generation
+// migration) and the elastic ladder (intra-HDA PE reassignment at
+// layer boundaries, migration only on persistent unreachable drift) —
+// and the deterministic replay digest adjudicates. Each arm must render byte-identical digests
 // across two runs and conserve every request; the flip-flop scenario
 // must show the headline result: the elastic controller serves the
 // alternating mix with cheap reassignments (zero full migrations)
@@ -41,8 +41,8 @@ func shootoutHDAs(t *testing.T) []*HDA {
 }
 
 // shootoutFleet mirrors the replay drill's fleet: a sweeper over the
-// Edge 4/2 space (both arms get one — the migration controller needs
-// it to act, the elastic controller only for escalation) and an EWMA
+// Edge 4/2 space (both arms get one — the migration-only preset needs
+// it to act, the elastic preset only for migration) and an EWMA
 // mix short enough to track the flip-flop alternation.
 func shootoutFleet(t *testing.T, cache *CostCache) FleetOptions {
 	t.Helper()
@@ -72,9 +72,9 @@ func TestElasticVsMigrationShootout(t *testing.T) {
 		return ReplayOptions{
 			Fleet:  shootoutFleet(t, cache),
 			Window: shootoutWindow,
-			// Stock controller defaults: 5% threshold, 2-step
-			// confirmation, 3-step cooldown.
-			Controller: &RepartitionOptions{},
+			// The migration-only preset at its stock settings: 5%
+			// threshold, 2-step confirmation, 3-step cooldown.
+			Elastic: &ElasticOptions{NoReassign: true, EscalateThreshold: 0.05, EscalateAfter: 2, Cooldown: 3},
 		}
 	}
 	elastic := func() ReplayOptions {

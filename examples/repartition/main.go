@@ -3,7 +3,8 @@
 // A deploy-time DSE fixes a partitioning for the *expected* workload
 // (a mobilenet-style edge mix), and a 2-replica fleet serves on it.
 // Then the live traffic shifts to unet — a model whose optimal
-// PE split is different — and the repartitioning controller:
+// PE split is different — and the fleet controller, in its
+// migration-only preset (the reassign rung off):
 //
 //  1. holds while the serving partition is still the sweep winner,
 //  2. confirms the shifted mix across consecutive probes (hysteresis),
@@ -71,10 +72,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctrl, err := herald.NewRepartitionController(fl, herald.RepartitionOptions{
-		Threshold: 0.05, // winner must beat the serving partition by 5%
-		Confirm:   2,    // ...on two consecutive probes
-		Cooldown:  2,    // ...and rest two probes after migrating
+	ctrl, err := herald.NewElasticController(fl, herald.ElasticOptions{
+		NoReassign:        true, // migration-only preset
+		EscalateThreshold: 0.05, // winner must beat the serving partition by 5%
+		EscalateAfter:     2,    // ...on two consecutive probes
+		Cooldown:          2,    // ...and rest two probes after migrating
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -91,9 +93,9 @@ func main() {
 	fmt.Println("\n=== phase 2: traffic shifts to unet ===")
 	before := waitAll(submit(fl, "arvr", "unet", burst, 2_000_000_000))
 	fmt.Printf("unet burst p99 on the old partition: %d cycles\n", p99(before))
-	step(ctrl) // confirming (streak 1 of 2)
+	step(ctrl) // hold, confirming (drift streak 1 of 2)
 	d := step(ctrl)
-	if d.Action != herald.RepartitionMigrated {
+	if d.Action != herald.ElasticMigrated {
 		log.Fatalf("expected a migration, got %+v", d)
 	}
 	fmt.Printf("fleet is now generation %d on %v\n", fl.Generation(), fl.ActiveHDAs()[0])
@@ -104,14 +106,14 @@ func main() {
 	fmt.Printf("unet burst p99: %d -> %d cycles (%.1f%% better)\n",
 		p99(before), p99(after), 100*(1-float64(p99(after))/float64(p99(before))))
 	fmt.Printf("objective on the shifted mix: %.4g -> %.4g (%s, %.1f%% better)\n",
-		d.ServingValue, d.WinnerValue, d.Objective, 100*d.Improvement)
+		d.ServingValue, d.WinnerValue, d.Objective, 100*(d.ServingValue-d.WinnerValue)/d.ServingValue)
 
 	// Anti-flap: the new partition is the winner for the new mix, so
 	// further probes hold (and the cooldown would block a flap even if
 	// they did not).
 	fmt.Println("\n=== anti-flap: further probes on the shifted mix ===")
 	for i := 0; i < 2; i++ {
-		if d := step(ctrl); d.Action == herald.RepartitionMigrated {
+		if d := step(ctrl); d.Action == herald.ElasticMigrated {
 			log.Fatal("controller flapped")
 		}
 	}
@@ -155,7 +157,7 @@ func waitAll(tickets []*herald.FleetTicket) []int64 {
 }
 
 // step runs one controller iteration and prints its decision.
-func step(ctrl *herald.RepartitionController) herald.RepartitionDecision {
+func step(ctrl *herald.ElasticController) herald.ElasticDecision {
 	d, err := ctrl.Step(context.Background())
 	if err != nil {
 		log.Fatal(err)

@@ -143,7 +143,7 @@ func main() {
 		}
 		o.Fleet.Sweeper = sw
 		o.Fleet.MixHalfLife = 64
-		o.Controller = &herald.RepartitionOptions{Threshold: 0.02, Confirm: 2, Cooldown: 2}
+		o.Elastic = &herald.ElasticOptions{NoReassign: true, EscalateThreshold: 0.02, EscalateAfter: 2, Cooldown: 2}
 		return o
 	}
 	tr := load(dir, "flipflop")
@@ -152,12 +152,12 @@ func main() {
 	if !bytes.Equal(rb1, rb2) {
 		log.Fatalf("FAIL flipflop+repartition: digests diverge:\n%s", diff(rb1, rb2))
 	}
-	if len(r1.Repartitions) == 0 {
+	if len(r1.ElasticDecisions) == 0 {
 		log.Fatal("FAIL flipflop+repartition: controller never stepped")
 	}
 	assertConservation("flipflop+repartition", r1)
 	log.Printf("flipflop+repartition: ok (%d controller steps, final generation %d)",
-		len(r1.Repartitions), r1.Counters.Generation)
+		len(r1.ElasticDecisions), r1.Counters.Generation)
 
 	log.Printf("replay drill PASS")
 }

@@ -28,8 +28,9 @@
 // stack grown on top of it: the online multi-tenant serving engine
 // (ServingEngine), multi-HDA fleet dispatch (Fleet, routing policies),
 // warm re-sweeps of the partition search on live traffic (Sweeper,
-// Fleet.Resweep), and the dynamic-repartitioning controller that acts
-// on those probes with live migrations (RepartitionController).
+// Fleet.Resweep), and the fleet controller that acts on those probes
+// with preemption, in-place PE reassignment and live migration
+// (ElasticController).
 // docs/ARCHITECTURE.md maps the layers; docs/OPERATIONS.md is the
 // serving-daemon runbook.
 package herald
@@ -492,57 +493,29 @@ func DefaultFleetOptions() FleetOptions { return fleet.DefaultOptions() }
 // least-outstanding, cost-aware).
 func ParseFleetPolicy(name string) (FleetPolicy, error) { return fleet.ParsePolicy(name) }
 
-// --- Dynamic repartitioning (internal/fleet's Controller) ---
+// --- Run-time repartitioning (internal/fleet's ElasticController) ---
 
-// Repartitioning: the controller that acts on the Resweep probe.
+// The fleet controller: one action ladder, preempt → reassign → migrate.
 type (
-	// RepartitionController periodically re-sweeps the partition
-	// search on the fleet's observed tenant mix and live-migrates the
-	// fleet (spawn → drain → hand over) when the winner beats the
-	// serving partition by a threshold, with hysteresis and cooldown.
-	RepartitionController = fleet.Controller
-	// RepartitionOptions tunes the controller state machine
-	// (threshold, confirmation streak, cooldown, replica count).
-	RepartitionOptions = fleet.ControllerOptions
-	// RepartitionDecision records one controller step.
-	RepartitionDecision = fleet.Decision
-	// RepartitionStatus is the controller's state snapshot (the
-	// GET /v1/fleet/repartition payload).
-	RepartitionStatus = fleet.ControllerStatus
-	// RepartitionAction is the outcome of one controller step.
-	RepartitionAction = fleet.Action
-)
-
-// Controller step outcomes.
-const (
-	RepartitionNoTraffic  = fleet.ActionNoTraffic
-	RepartitionHold       = fleet.ActionHold
-	RepartitionConfirming = fleet.ActionConfirming
-	RepartitionCooldown   = fleet.ActionCooldown
-	RepartitionMigrated   = fleet.ActionMigrated
-)
-
-// --- Elastic intra-HDA partitioning (internal/fleet's ElasticController) ---
-
-// Elasticity: re-slice sub-accelerators in place instead of migrating.
-type (
-	// ElasticController prefers the cheap intra-HDA moves — SLA-risk
-	// preemption, then PE reassignment at layer boundaries — and only
-	// escalates to a full migration when the sweep winner stays
-	// structurally out of reach of re-slicing.
+	// ElasticController repeats the partition/schedule co-optimization
+	// on the observed mix and takes the cheapest sufficient action:
+	// SLA-risk preemption, then PE reassignment at layer boundaries,
+	// then a live migration when the sweep winner keeps winning.
 	ElasticController = fleet.ElasticController
-	// ElasticOptions tunes the elastic controller (reassign threshold,
-	// PE quantum, escalation budget, SLA-risk preemption trigger).
+	// ElasticOptions tunes the ladder. The zero value is the elastic
+	// preset; NoReassign with the migrate-rung knobs set is the
+	// migration-only preset.
 	ElasticOptions = fleet.ElasticOptions
-	// ElasticDecision records one elastic-controller step.
+	// ElasticDecision records one controller step.
 	ElasticDecision = fleet.ElasticDecision
-	// ElasticControllerStatus is the controller's state snapshot.
+	// ElasticControllerStatus is the controller's state snapshot (the
+	// GET /v1/fleet/repartition payload).
 	ElasticControllerStatus = fleet.ElasticStatus
-	// ElasticAction is the outcome of one elastic-controller step.
+	// ElasticAction is the outcome of one controller step.
 	ElasticAction = fleet.ElasticAction
 )
 
-// Elastic controller step outcomes.
+// Controller step outcomes.
 const (
 	ElasticNoTraffic  = fleet.ElasticNoTraffic
 	ElasticHold       = fleet.ElasticHold
@@ -551,11 +524,11 @@ const (
 	ElasticMigrated   = fleet.ElasticMigrated
 )
 
-// NewElasticController attaches an elastic (intra-HDA) controller to a
-// fleet. A sweeper is optional: without one the controller reassigns
-// and preempts but never escalates to a migration; the SLA-risk
-// preemption trigger additionally needs ServingOptions.Elastic on the
-// fleet's engines.
+// NewElasticController attaches the controller to a fleet. A sweeper
+// (FleetOptions.Sweeper) is needed to migrate, and required with
+// NoReassign; the SLA-risk preemption trigger additionally needs
+// ServingOptions.Elastic on the fleet's engines. Drive it with Step
+// (deterministic replay) or Run (daemon ticker loop).
 func NewElasticController(f *Fleet, opts ElasticOptions) (*ElasticController, error) {
 	return fleet.NewElasticController(f, opts)
 }
@@ -599,13 +572,6 @@ func NewFaultPlan(events []FaultEvent) (*FaultPlan, error) { return fleet.NewFau
 // ParseFaultPlan parses the "cycle:replica:kind[:arg],..." fault-plan
 // syntax (kinds: crash, stall:factor, admit-fail:count, recover).
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return fleet.ParseFaultPlan(spec) }
-
-// NewRepartitionController attaches a dynamic-repartitioning
-// controller to a fleet built with FleetOptions.Sweeper. Drive it
-// with Step (deterministic replay) or Run (daemon ticker loop).
-func NewRepartitionController(f *Fleet, opts RepartitionOptions) (*RepartitionController, error) {
-	return fleet.NewController(f, opts)
-}
 
 // ExportFaultPlan reconstructs an injectable FaultPlan from a fault
 // decision log (GET /v1/fleet/decisions) — the export-an-incident

@@ -10,7 +10,7 @@ import (
 // deliberately randomized, so any map range whose effects are
 // order-dependent (feeding scheduling decisions, logged output,
 // serialized state) breaks the repo's bit-reproducibility guarantees
-// — the replay-stable controller decisions and FaultDecision logs
+// — the replay-stable fleet.ElasticDecision and FaultDecision logs
 // rest on there being none.
 //
 // A site is accepted without a directive only in the canonical

@@ -10,9 +10,9 @@ import (
 // Jsonzero flags `omitempty` on numeric and bool fields of exported
 // structs with JSON tags. For those kinds Go's encoder drops the zero
 // value, so a client cannot distinguish "instance 0, start cycle 0,
-// zero failures" from "field absent" — the exact bug class PR 3 fixed
-// in serve.Record placement fields and PR 6 re-fixed in
-// fleet.Decision / ControllerStatus. Strings, pointers, slices and
+// zero failures" from "field absent" — the exact bug class once fixed
+// in serve.Record placement fields and again in the fleet controller's
+// fleet.ElasticDecision / ElasticStatus. Strings, pointers, slices and
 // maps are exempt: their empty value genuinely means "absent" in this
 // codebase (and a pointer is the sanctioned way to express an
 // optional number, as http's arrival_cycle does).

@@ -29,6 +29,15 @@ type Sweeper struct {
 	opts  Options
 
 	workers []*sweepWorker
+
+	// firstSample maps each partition key of a Random search to the
+	// index of its first occurrence in the sample order. Random samples
+	// with replacement, and a duplicate must be named after that first
+	// occurrence — not after whichever index the worker memoizing its
+	// HDA happened to see first, which depends on scheduling. Nil for
+	// the enumerating strategies, whose indices are unique. Read-only
+	// after NewSweeper.
+	firstSample map[string]int
 }
 
 // sweepWorker is one worker's private state: a scheduler (with its own
@@ -77,6 +86,17 @@ func NewSweeper(cache *maestro.Cache, sp Space, opts Options) (*Sweeper, error) 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sw := &Sweeper{cache: cache, sp: sp, opts: opts}
+	if opts.Strategy == Random {
+		sw.firstSample = make(map[string]int)
+		var buf []byte
+		streamPartitions(sp, opts, func(idx int, part []int) bool {
+			buf = appendPartKey(buf[:0], part)
+			if _, seen := sw.firstSample[string(buf)]; !seen {
+				sw.firstSample[string(buf)] = idx
+			}
+			return true
+		})
+	}
 	for i := 0; i < workers; i++ {
 		sw.workers = append(sw.workers, &sweepWorker{
 			cache:  cache,
@@ -177,7 +197,11 @@ func (sw *Sweeper) Sweep(w *workload.Workload) (*Result, error) {
 					}
 					idx := ch.base + ci
 					key := wk.partKey(part)
-					h, err := wk.hda(sw.sp, key, part, idx)
+					name := idx
+					if first, ok := sw.firstSample[key]; ok {
+						name = first
+					}
+					h, err := wk.hda(sw.sp, key, part, name)
 					if err != nil {
 						fail(err)
 						break
@@ -293,15 +317,19 @@ func (sw *Sweeper) Sweep(w *workload.Workload) (*Result, error) {
 	return res, nil
 }
 
-// partKey packs a unit-count vector into a map key (2 bytes per
-// entry; granularities are far below 1<<16 units).
+// partKey packs a unit-count vector into a map key.
 func (wk *sweepWorker) partKey(part []int) string {
-	buf := wk.keyBuf[:0]
+	wk.keyBuf = appendPartKey(wk.keyBuf[:0], part)
+	return string(wk.keyBuf)
+}
+
+// appendPartKey appends the packed key of a unit-count vector to buf
+// (2 bytes per entry; granularities are far below 1<<16 units).
+func appendPartKey(buf []byte, part []int) []byte {
 	for _, v := range part {
 		buf = append(buf, byte(v>>8), byte(v))
 	}
-	wk.keyBuf = buf
-	return string(buf)
+	return buf
 }
 
 // maxWorkerMemo caps each worker's partition-keyed memo tables (HDAs,
@@ -314,8 +342,9 @@ func (wk *sweepWorker) partKey(part []int) string {
 const maxWorkerMemo = 4096
 
 // hda returns (building and caching if needed) the HDA of one
-// partition. The name carries the partition's enumeration index from
-// its first appearance, matching the eager enumeration's naming.
+// partition, named "hda-<idx>". Callers pass the partition's first
+// index in the enumeration (sample) order, so the name never depends
+// on which worker builds it.
 func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HDA, error) {
 	if h, ok := wk.hdas[key]; ok {
 		return h, nil

@@ -22,7 +22,8 @@ import (
 // NVDLA + Shi-diannao, which has exactly two distinct EDP winners:
 // mobilenet-dominated mixes pick NVDLA:768/Shi-diannao:256 and
 // unet-dominated mixes pick NVDLA:512/Shi-diannao:512 (the workloads'
-// EDP gaps are ~7% and ~11%, both past the 5% default threshold).
+// EDP gaps are ~7% and ~11%, both past the 5% migrate threshold the
+// tests' migration-only preset uses).
 func partition31(t testing.TB) *accel.HDA {
 	t.Helper()
 	h, err := accel.New("p31", accel.Edge, []accel.Partition{
@@ -40,9 +41,22 @@ func partition22(t testing.TB) *accel.HDA {
 	return testHDA(t) // NVDLA:512 + Shi-diannao:512
 }
 
+// migrateOnly is the migration-only preset of the controller: the
+// reassign rung off, a 5% migrate threshold, confirm consecutive
+// agreeing probes, then cooldown observation-only probes.
+func migrateOnly(confirm, cooldown int) ElasticOptions {
+	return ElasticOptions{NoReassign: true, EscalateThreshold: 0.05, EscalateAfter: confirm, Cooldown: cooldown}
+}
+
+// winnerGain is the sweep winner's fractional gain over the serving
+// partition (homogeneous fleets: the migrate rung's baseline).
+func winnerGain(d ElasticDecision) float64 {
+	return (d.ServingValue - d.WinnerValue) / d.ServingValue
+}
+
 // controllerFleet builds a 2-replica fleet on start with a sweeper
 // over the two-winner space and an attached controller.
-func controllerFleet(t testing.TB, cache *maestro.Cache, start *accel.HDA, copts ControllerOptions, fopts ...func(*Options)) (*Fleet, *Controller) {
+func controllerFleet(t testing.TB, cache *maestro.Cache, start *accel.HDA, copts ElasticOptions, fopts ...func(*Options)) (*Fleet, *ElasticController) {
 	t.Helper()
 	sp := dse.Space{
 		Class:   accel.Edge,
@@ -65,7 +79,7 @@ func controllerFleet(t testing.TB, cache *maestro.Cache, start *accel.HDA, copts
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(f, copts)
+	c, err := NewElasticController(f, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +125,7 @@ func waitAll(t testing.TB, tickets []*Ticket) {
 func TestControllerMigratesOnMixShift(t *testing.T) {
 	cache := newTestCache()
 	var hookFires atomic.Int64
-	f, c := controllerFleet(t, cache, partition31(t), ControllerOptions{Confirm: 1, Cooldown: 2},
+	f, c := controllerFleet(t, cache, partition31(t), migrateOnly(1, 2),
 		func(o *Options) {
 			o.Serve.OnRequestDone = func(serve.Record) { hookFires.Add(1) }
 		})
@@ -124,7 +138,7 @@ func TestControllerMigratesOnMixShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != ActionHold {
+	if d.Action != ElasticHold {
 		t.Fatalf("step on optimal partition: %+v", d)
 	}
 	if f.Generation() != 0 {
@@ -138,18 +152,18 @@ func TestControllerMigratesOnMixShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != ActionMigrated {
+	if d.Action != ElasticMigrated {
 		t.Fatalf("step after mix shift: %+v", d)
 	}
-	if d.Improvement < 0.05 {
+	if winnerGain(d) < 0.05 {
 		t.Errorf("migration below threshold: %+v", d)
 	}
 	if f.Generation() != 1 || c.Migrations() != 1 {
 		t.Fatalf("generation %d migrations %d after migration", f.Generation(), c.Migrations())
 	}
 	for _, h := range f.ActiveHDAs() {
-		if h.String() != d.WinnerHDA {
-			t.Fatalf("active partition %v, want the sweep winner %s", h, d.WinnerHDA)
+		if h.String() != d.Winner {
+			t.Fatalf("active partition %v, want the sweep winner %s", h, d.Winner)
 		}
 		if h.SamePartition(partition31(t)) {
 			t.Fatalf("migration kept the old partition %v", h)
@@ -214,7 +228,7 @@ func TestControllerMigratesOnMixShift(t *testing.T) {
 // sequence and the identical final partition, run to run.
 func TestControllerDeterministicReplay(t *testing.T) {
 	type outcome struct {
-		actions  []Action
+		actions  []ElasticAction
 		winners  []string
 		assigned [][]int
 		final    string
@@ -222,7 +236,7 @@ func TestControllerDeterministicReplay(t *testing.T) {
 	}
 	run := func() outcome {
 		cache := newTestCache()
-		f, c := controllerFleet(t, cache, partition31(t), ControllerOptions{Confirm: 2, Cooldown: 2})
+		f, c := controllerFleet(t, cache, partition31(t), migrateOnly(2, 2))
 		var o outcome
 		step := func() {
 			d, err := c.Step(context.Background())
@@ -230,7 +244,7 @@ func TestControllerDeterministicReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			o.actions = append(o.actions, d.Action)
-			o.winners = append(o.winners, d.WinnerHDA)
+			o.winners = append(o.winners, d.Winner)
 		}
 		record := func(tks []*Ticket) {
 			ids := make([]int, len(tks))
@@ -242,7 +256,7 @@ func TestControllerDeterministicReplay(t *testing.T) {
 		record(submitN(t, f, "mobile", "mobilenetv1", 4))
 		step()
 		record(submitN(t, f, "arvr", "unet", 6))
-		step() // confirming (streak 1 of 2)
+		step() // hold, confirming (drift streak 1 of 2)
 		step() // migrated
 		record(submitN(t, f, "arvr", "unet", 3))
 		if _, err := f.Drain(context.Background()); err != nil {
@@ -256,7 +270,7 @@ func TestControllerDeterministicReplay(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay diverged:\nrun1 %+v\nrun2 %+v", a, b)
 	}
-	if a.gen != 1 || a.actions[len(a.actions)-1] != ActionMigrated {
+	if a.gen != 1 || a.actions[len(a.actions)-1] != ElasticMigrated {
 		t.Fatalf("trace did not end in a migration: %+v", a)
 	}
 	if a.final != a.winners[len(a.winners)-1] {
@@ -269,15 +283,15 @@ func TestControllerDeterministicReplay(t *testing.T) {
 // controller never migrates.
 func TestControllerHysteresisNoFlapOnOscillation(t *testing.T) {
 	cache := newTestCache()
-	f, c := controllerFleet(t, cache, partition31(t), ControllerOptions{Confirm: 2, Cooldown: 2})
+	f, c := controllerFleet(t, cache, partition31(t), migrateOnly(2, 2))
 	for cycle := 0; cycle < 3; cycle++ {
-		// Unet phase: candidate appears (streak 1)...
+		// Unet phase: a drifting winner appears (streak 1)...
 		waitAll(t, submitN(t, f, "arvr", "unet", 3))
 		d, err := c.Step(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Action != ActionConfirming {
+		if d.Action != ElasticHold || d.DriftStreak != 1 {
 			t.Fatalf("cycle %d unet phase: %+v", cycle, d)
 		}
 		f.ResetMix()
@@ -287,7 +301,7 @@ func TestControllerHysteresisNoFlapOnOscillation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Action != ActionHold {
+		if d.Action != ElasticHold || d.DriftStreak != 0 {
 			t.Fatalf("cycle %d mobilenet phase: %+v", cycle, d)
 		}
 		f.ResetMix()
@@ -306,7 +320,7 @@ func TestControllerHysteresisNoFlapOnOscillation(t *testing.T) {
 // candidate persists) may the fleet move again.
 func TestControllerCooldownBlocksFlapBack(t *testing.T) {
 	cache := newTestCache()
-	f, c := controllerFleet(t, cache, partition31(t), ControllerOptions{Confirm: 1, Cooldown: 2})
+	f, c := controllerFleet(t, cache, partition31(t), migrateOnly(1, 2))
 
 	// Shift to unet: migrate to the unet optimum (generation 1).
 	waitAll(t, submitN(t, f, "arvr", "unet", 4))
@@ -314,7 +328,7 @@ func TestControllerCooldownBlocksFlapBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != ActionMigrated || f.Generation() != 1 {
+	if d.Action != ElasticMigrated || f.Generation() != 1 || d.CooldownLeft != 2 {
 		t.Fatalf("initial migration: %+v (gen %d)", d, f.Generation())
 	}
 
@@ -327,7 +341,7 @@ func TestControllerCooldownBlocksFlapBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Action != ActionCooldown {
+		if d.Action != ElasticHold || d.CooldownLeft != 1-i || d.DriftStreak != 0 || winnerGain(d) < 0.05 {
 			t.Fatalf("cooldown step %d: %+v", i, d)
 		}
 		if f.Generation() != 1 {
@@ -342,7 +356,7 @@ func TestControllerCooldownBlocksFlapBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != ActionMigrated || f.Generation() != 2 {
+	if d.Action != ElasticMigrated || f.Generation() != 2 {
 		t.Fatalf("post-cooldown step: %+v (gen %d)", d, f.Generation())
 	}
 	if c.Migrations() != 2 {
@@ -354,38 +368,47 @@ func TestControllerCooldownBlocksFlapBack(t *testing.T) {
 }
 
 // TestControllerValidationAndStatus covers constructor errors, the
-// status snapshot, and the no-traffic step.
+// zero-value defaults, the status snapshot, and the no-traffic step.
 func TestControllerValidationAndStatus(t *testing.T) {
 	bare := testFleet(t, newTestCache(), 1, CostAware)
-	if _, err := NewController(bare, ControllerOptions{}); err == nil || !strings.Contains(err.Error(), "sweeper") {
-		t.Errorf("sweeper-less controller: %v", err)
+	if _, err := NewElasticController(bare, ElasticOptions{NoReassign: true}); err == nil || !strings.Contains(err.Error(), "sweeper") {
+		t.Errorf("sweeper-less migration-only controller: %v", err)
 	}
 	if _, err := bare.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewController(nil, ControllerOptions{}); err == nil {
+	if _, err := NewElasticController(nil, ElasticOptions{}); err == nil {
 		t.Error("nil fleet accepted")
 	}
 
 	cache := newTestCache()
-	f, c := controllerFleet(t, cache, partition22(t), ControllerOptions{Threshold: 0.03})
-	if _, err := NewController(f, ControllerOptions{Threshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
+	f, c := controllerFleet(t, cache, partition22(t), ElasticOptions{NoReassign: true, EscalateThreshold: 0.03})
+	for _, bad := range []ElasticOptions{{EscalateThreshold: -1}, {ReassignThreshold: -1}, {Cooldown: -1}} {
+		if _, err := NewElasticController(f, bad); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	if o := c.opts; o.EscalateThreshold != 0.03 || o.EscalateAfter != 3 || o.Cooldown != 0 {
+		t.Fatalf("explicit options: %+v", o)
+	}
+	// The zero value is the elastic preset.
+	if o := (ElasticOptions{}).withDefaults(); o.ReassignThreshold != 0.02 || o.EscalateThreshold != 0.10 ||
+		o.EscalateAfter != 3 || o.Cooldown != 0 || o.PreemptBelow != 0 || o.PreemptMax != 2 || o.NoReassign {
+		t.Fatalf("zero-value defaults: %+v", o)
 	}
 
-	st := c.Status()
-	if st.State != "stable" || st.Steps != 0 || st.Threshold != 0.03 || st.Confirm != 2 || st.Cooldown != 3 {
+	if st := c.Status(); st.Steps != 0 || st.Migrations != 0 || st.DriftStreak != 0 || st.CooldownLeft != 0 || st.Last != nil {
 		t.Fatalf("fresh status: %+v", st)
 	}
 	d, err := c.Step(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Action != ActionNoTraffic {
+	if d.Action != ElasticNoTraffic {
 		t.Fatalf("step without traffic: %+v", d)
 	}
-	st = c.Status()
-	if st.Steps != 1 || st.Last == nil || st.Last.Action != ActionNoTraffic {
+	st := c.Status()
+	if st.Steps != 1 || st.Last == nil || st.Last.Action != ElasticNoTraffic {
 		t.Fatalf("status after step: %+v", st)
 	}
 	if _, err := f.Drain(context.Background()); err != nil {
@@ -428,8 +451,8 @@ func TestMigrateDirect(t *testing.T) {
 }
 
 // TestRepartitionHTTPStatus: the controller status endpoint reports
-// 404 without a controller and the live state machine with one; the
-// replica delegation surface follows a migration.
+// 404 without a controller and the live ladder state under either
+// preset; the replica delegation surface follows a migration.
 func TestRepartitionHTTPStatus(t *testing.T) {
 	f := testFleet(t, newTestCache(), 1, CostAware)
 	srv := httptest.NewServer(f.Handler())
@@ -441,21 +464,22 @@ func TestRepartitionHTTPStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := newTestCache()
-	f2, c := controllerFleet(t, cache, partition31(t), ControllerOptions{Confirm: 1, Cooldown: 1})
+	// Migration-only preset: one migration, then the cooldown shows.
+	f2, c := controllerFleet(t, newTestCache(), partition31(t), migrateOnly(1, 1))
 	srv2 := httptest.NewServer(f2.Handler())
 	t.Cleanup(srv2.Close)
 
-	var st ControllerStatus
-	if code := doJSON(t, "GET", srv2.URL+"/v1/fleet/repartition", "", &st); code != http.StatusOK || st.State != "stable" {
+	var st ElasticStatus
+	if code := doJSON(t, "GET", srv2.URL+"/v1/fleet/repartition", "", &st); code != http.StatusOK || st.Steps != 0 || st.Last != nil {
 		t.Fatalf("controller status: %d %+v", code, st)
 	}
 
 	waitAll(t, submitN(t, f2, "arvr", "unet", 4))
-	if d, err := c.Step(context.Background()); err != nil || d.Action != ActionMigrated {
+	if d, err := c.Step(context.Background()); err != nil || d.Action != ElasticMigrated {
 		t.Fatalf("migration step: %+v %v", d, err)
 	}
-	if code := doJSON(t, "GET", srv2.URL+"/v1/fleet/repartition", "", &st); code != http.StatusOK || st.Migrations != 1 || st.State != "cooldown" {
+	if code := doJSON(t, "GET", srv2.URL+"/v1/fleet/repartition", "", &st); code != http.StatusOK ||
+		st.Migrations != 1 || st.CooldownLeft != 1 || st.Last == nil || st.Last.Action != ElasticMigrated {
 		t.Fatalf("post-migration status: %d %+v", code, st)
 	}
 	// New-generation replicas (ids 2+) are reachable; retired ids 404.
@@ -468,15 +492,32 @@ func TestRepartitionHTTPStatus(t *testing.T) {
 	if _, err := f2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+
+	// Elastic preset: a reassignment shows in the same endpoint.
+	f3, ec := elasticFleet(t, testHDA(t), ElasticOptions{PEQuantum: 256})
+	srv3 := httptest.NewServer(f3.Handler())
+	t.Cleanup(srv3.Close)
+	waitAll(t, submitN(t, f3, "mobile", "mobilenetv1", 6))
+	if d, err := ec.Step(context.Background()); err != nil || d.Action != ElasticReassigned {
+		t.Fatalf("reassign step: %+v %v", d, err)
+	}
+	st = ElasticStatus{}
+	if code := doJSON(t, "GET", srv3.URL+"/v1/fleet/repartition", "", &st); code != http.StatusOK ||
+		st.Steps != 1 || st.Reassigns != 1 || st.Migrations != 0 || st.Last == nil || st.Last.Action != ElasticReassigned {
+		t.Fatalf("elastic status: %d %+v", code, st)
+	}
+	if _, err := f3.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDecisionStatusJSONRoundTrip: zero-valued comparison and
-// hysteresis fields must survive marshal/unmarshal — serving_value,
-// winner_value, streak and cooldown_left carry no omitempty, so a
-// zero reading is emitted as an explicit 0, not dropped, and a client
-// can tell "comparison read 0" apart from a missing field.
+// hysteresis fields must survive marshal/unmarshal — the values,
+// drift_streak and cooldown_left carry no omitempty, so a zero reading
+// is emitted as an explicit 0, not dropped, and a client can tell
+// "comparison read 0" apart from a missing field.
 func TestDecisionStatusJSONRoundTrip(t *testing.T) {
-	d := Decision{Step: 3, Action: ActionHold, Generation: 1, Mix: "unet:1"}
+	d := ElasticDecision{Step: 3, Action: ElasticHold, Generation: 1, Mix: "unet:1"}
 	db, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -485,12 +526,12 @@ func TestDecisionStatusJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(db, &draw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"serving_value", "winner_value", "streak", "cooldown_left"} {
+	for _, key := range []string{"serving_value", "candidate_value", "winner_value", "drift_streak", "cooldown_left"} {
 		if _, ok := draw[key]; !ok {
 			t.Errorf("decision JSON drops zero-valued %q: %s", key, db)
 		}
 	}
-	var dback Decision
+	var dback ElasticDecision
 	if err := json.Unmarshal(db, &dback); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +539,7 @@ func TestDecisionStatusJSONRoundTrip(t *testing.T) {
 		t.Errorf("decision round trip: %+v != %+v", dback, d)
 	}
 
-	st := ControllerStatus{State: "stable", Steps: 5, Threshold: 0.05, Confirm: 2, Cooldown: 3}
+	st := ElasticStatus{Steps: 5, Migrations: 1}
 	sb, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -507,16 +548,46 @@ func TestDecisionStatusJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(sb, &sraw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"streak", "cooldown_left"} {
+	for _, key := range []string{"drift_streak", "cooldown_left", "reassigns", "preemptions"} {
 		if _, ok := sraw[key]; !ok {
 			t.Errorf("status JSON drops zero-valued %q: %s", key, sb)
 		}
 	}
-	var sback ControllerStatus
+	var sback ElasticStatus
 	if err := json.Unmarshal(sb, &sback); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sback, st) {
 		t.Errorf("status round trip: %+v != %+v", sback, st)
+	}
+}
+
+// TestControllerStreakNeedsSameWinner: the confirmation streak counts
+// only consecutive steps that name the same winning partition — two
+// different drifting winners in a row restart it, so a mix that keeps
+// changing its mind never migrates.
+func TestControllerStreakNeedsSameWinner(t *testing.T) {
+	f, c := controllerFleet(t, newTestCache(), partition22(t), migrateOnly(2, 0))
+	var winners []string
+	for _, model := range []string{"mobilenetv1", "unet", "mobilenetv1"} {
+		waitAll(t, submitN(t, f, "t", model, 3))
+		d, err := c.Step(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Action != ElasticHold || d.DriftStreak != 1 || winnerGain(d) < 0.05 {
+			t.Fatalf("%s step: %+v", model, d)
+		}
+		winners = append(winners, d.Winner)
+		f.ResetMix()
+	}
+	if winners[0] == winners[1] || winners[1] == winners[2] {
+		t.Fatalf("mix did not alternate winners: %v", winners)
+	}
+	if c.Migrations() != 0 || f.Generation() != 0 {
+		t.Fatalf("alternating winners migrated (gen %d)", f.Generation())
+	}
+	if _, err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,14 +16,16 @@ import (
 	"repro/internal/workload"
 )
 
-// ElasticAction is the outcome of one elastic-controller step.
+// ElasticAction is the outcome of one controller step.
 type ElasticAction string
 
-// Elastic controller step outcomes.
+// Controller step outcomes.
 const (
 	// ElasticNoTraffic: no mix observed yet; nothing to evaluate.
 	ElasticNoTraffic ElasticAction = "no-traffic"
-	// ElasticHold: no neighbor partition clears the threshold.
+	// ElasticHold: no rung acted. The decision's DriftStreak and
+	// CooldownLeft say whether a migration is being confirmed or is
+	// blocked by the post-migration cooldown.
 	ElasticHold ElasticAction = "hold"
 	// ElasticReassigned: every active replica's slices were re-sized
 	// in place (cheap intra-HDA move, no generation change).
@@ -30,43 +33,52 @@ const (
 	// ElasticPreempted: SLA risk triggered preemption of low-priority
 	// work, but no reassignment was warranted this step.
 	ElasticPreempted ElasticAction = "preempted"
-	// ElasticMigrated: drift persisted beyond the escalation budget and
-	// the optimum is not reachable by re-slicing, so the controller
-	// escalated to a full generation migration.
+	// ElasticMigrated: the sweep winner cleared the migrate rung's
+	// threshold for EscalateAfter consecutive steps, so the fleet
+	// live-migrated to it (a new generation).
 	ElasticMigrated ElasticAction = "migrated"
 )
 
-// ElasticOptions tunes the elastic controller. The zero value selects
-// the defaults.
+// ElasticOptions tunes the controller's action ladder. The zero value
+// is the elastic preset: reassign at 0.02, migrate at 0.10 after 3
+// steps, no cooldown, no preemption. The migration-only preset is
+// NoReassign with the migrate rung's knobs set (heraldd -repartition).
 type ElasticOptions struct {
 	// ReassignThreshold is the minimum fractional objective improvement
 	// a neighbor partition (one PE quantum moved between two subs) must
 	// offer over the serving partition to trigger a reassignment. 0
-	// selects the default 0.02 — deliberately lower than the migration
-	// controller's 0.05, because a reassignment is cheap: committed
+	// selects the default 0.02 — a reassignment is cheap: committed
 	// layers finish untouched and no generation drains.
 	ReassignThreshold float64
+
+	// NoReassign turns the reassign rung off, leaving preempt →
+	// migrate. The migrate rung then also acts on winners that
+	// re-slicing could reach. Requires a fleet sweeper.
+	NoReassign bool
 
 	// PEQuantum is how many PEs one reassignment moves between two
 	// sub-accelerators (bandwidth moves proportionally, keeping the
 	// Definition 1 sums exact). 0 selects class PEs / 16 (min 1).
 	PEQuantum int
 
-	// EscalateAfter is how many consecutive hold steps with persistent
-	// unreachable drift (the fleet sweeper's winner beats the serving
-	// partition by >= EscalateThreshold but differs in sub count or
-	// styles, so no sequence of reassignments reaches it) the
-	// controller tolerates before escalating to Fleet.Migrate. 0
-	// selects the default 3. Escalation requires the fleet to have a
-	// sweeper (Options.Sweeper); without one the controller never
-	// migrates.
+	// EscalateThreshold is the minimum fractional improvement the
+	// fleet sweeper's winner must offer over the best distinct active
+	// partition to count as drift. 0 selects the default 0.10. With
+	// the reassign rung on, only winners out of reach of re-slicing
+	// (different sub count or styles) count.
+	EscalateThreshold float64
+
+	// EscalateAfter is how many consecutive steps must name the same
+	// drifting winner before the controller migrates to it. 0 selects
+	// the default 3. Migration requires the fleet to have a sweeper
+	// (Options.Sweeper); without one the controller never migrates.
 	EscalateAfter int
 
-	// EscalateThreshold is the minimum fractional improvement the sweep
-	// winner must sustain to count as drift. 0 selects the default
-	// 0.10 (2x the migration controller's default threshold — a
-	// migration out of the elastic loop must be clearly worth a drain).
-	EscalateThreshold float64
+	// Cooldown is how many migrate-rung evaluations after a migration
+	// are observation only: the winner is reported but never acted on
+	// and builds no streak, which bounds the flap rate to one
+	// migration per Cooldown+EscalateAfter steps. 0 means none.
+	Cooldown int
 
 	// PreemptBelow, when > 0, arms the SLA-risk trigger: a step that
 	// observes new SLA violations since the previous step preempts up
@@ -78,10 +90,6 @@ type ElasticOptions struct {
 	// PreemptMax caps preemptions per replica per step. 0 selects the
 	// default 2.
 	PreemptMax int
-
-	// Objective selects the comparison metric; the default follows the
-	// fleet sweeper's objective when one is configured, else EDP.
-	Objective dse.Objective
 
 	// Logf, when set, receives one line per step.
 	Logf func(format string, args ...any)
@@ -103,23 +111,24 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 	return o
 }
 
-// ElasticDecision records one elastic-controller step. The value
-// fields carry no omitempty: 0 is a legitimate objective reading or
-// counter, and a decision consumer must be able to distinguish it from
-// an absent field.
+// ElasticDecision records one controller step. The value fields carry
+// no omitempty: 0 is a legitimate objective reading or counter, and a
+// decision consumer must be able to distinguish it from an absent
+// field.
 type ElasticDecision struct {
 	Step   int           `json:"step"`
 	Action ElasticAction `json:"action"`
 	// Generation is the fleet generation after the step (it changes
-	// only on escalation).
+	// only on a migration).
 	Generation int `json:"generation"`
 
 	// Mix is the probed workload, empty under ElasticNoTraffic.
 	Mix string `json:"mix,omitempty"`
 
-	// Serving/Candidate describe the comparison: the serving
-	// partition's objective value on the mix vs. the best neighbor
-	// partition's (one PE quantum moved between two subs).
+	// Serving/Candidate describe the reassign rung's comparison: the
+	// serving partition's objective value on the mix vs. the best
+	// neighbor partition's (one PE quantum moved between two subs).
+	// Candidate is empty when the rung is off.
 	Serving        string  `json:"serving,omitempty"`
 	Candidate      string  `json:"candidate,omitempty"`
 	Objective      string  `json:"objective,omitempty"`
@@ -129,14 +138,21 @@ type ElasticDecision struct {
 	// partition ((serving-candidate)/serving).
 	Improvement float64 `json:"improvement"`
 
+	// Winner/WinnerValue are the migrate rung's sweep winner and its
+	// objective value; Winner is empty when the rung did not run.
+	Winner      string  `json:"winner,omitempty"`
+	WinnerValue float64 `json:"winner_value"`
+
 	// Reassigned counts replicas re-sliced this step; Preempted counts
 	// requests preempted by the SLA-risk trigger this step.
 	Reassigned int `json:"reassigned"`
 	Preempted  int `json:"preempted"`
 
-	// DriftStreak is the consecutive count of unreachable-drift holds
-	// feeding the escalation budget.
-	DriftStreak int `json:"drift_streak"`
+	// DriftStreak is how many consecutive steps have named the same
+	// drifting winner; CooldownLeft is the post-migration cooldown
+	// still to run. Both are the state after the step.
+	DriftStreak  int `json:"drift_streak"`
+	CooldownLeft int `json:"cooldown_left"`
 }
 
 // String renders the decision as a one-line log entry.
@@ -149,32 +165,48 @@ func (d ElasticDecision) String() string {
 			d.Step, d.Reassigned, d.Candidate, d.Objective, d.ServingValue, d.CandidateValue, d.Mix,
 			-100*d.Improvement, d.Preempted)
 	case ElasticMigrated:
-		return fmt.Sprintf("elastic step %d: ESCALATED to migration (gen %d) after drift streak %d on %s",
-			d.Step, d.Generation, d.DriftStreak, d.Mix)
+		return fmt.Sprintf("elastic step %d: MIGRATED to %s (gen %d): %s %.4g -> %.4g on %s (cooldown %d)",
+			d.Step, d.Winner, d.Generation, d.Objective, d.ServingValue, d.WinnerValue, d.Mix, d.CooldownLeft)
 	}
-	return fmt.Sprintf("elastic step %d: %s: serving %s, best neighbor %s (%s %.4g vs %.4g, %+.1f%% on %s; preempted %d, drift %d)",
-		d.Step, d.Action, d.Serving, d.Candidate, d.Objective, d.ServingValue, d.CandidateValue,
-		100*d.Improvement, d.Mix, d.Preempted, d.DriftStreak)
+	var b strings.Builder
+	fmt.Fprintf(&b, "elastic step %d: %s: serving %s (%s %.4g on %s)", d.Step, d.Action, d.Serving, d.Objective, d.ServingValue, d.Mix)
+	if d.Candidate != "" {
+		fmt.Fprintf(&b, ", best neighbor %s %.4g (%+.1f%%)", d.Candidate, d.CandidateValue, 100*d.Improvement)
+	}
+	if d.Winner != "" {
+		fmt.Fprintf(&b, ", winner %s %.4g", d.Winner, d.WinnerValue)
+	}
+	fmt.Fprintf(&b, "; preempted %d, drift %d, cooldown %d", d.Preempted, d.DriftStreak, d.CooldownLeft)
+	return b.String()
 }
 
-// ElasticController is the intra-HDA counterpart of the migration
-// Controller: each Step probes the observed mix, evaluates neighbor
-// partitions (one PE quantum moved between two sub-accelerators) on a
-// private scheduler, and executes the cheapest sufficient action —
-// preempt low-priority work when SLA risk appears, re-slice every
-// active replica in place when a neighbor partition clears the
-// threshold, and only escalate to a full Fleet.Migrate when the
-// sweeper's winner stays out of reach of re-slicing for EscalateAfter
-// consecutive steps. Steps are serialized; replay harnesses call Step
-// at deterministic quiesce boundaries, so the same trace with Steps at
-// the same points yields the same decision sequence.
+// ElasticController is the fleet's one controller: the run-time repeat
+// of Herald's partition/schedule co-optimization on the observed mix.
+// Each Step climbs an action ladder and executes the cheapest
+// sufficient action:
+//
+//	preempt  — SLA risk appeared: revoke low-priority placements;
+//	reassign — a neighbor partition (one PE quantum moved between two
+//	           subs) clears ReassignThreshold: re-slice every replica
+//	           in place, no generation change;
+//	migrate  — the sweeper's winner clears EscalateThreshold on
+//	           EscalateAfter consecutive steps outside a cooldown:
+//	           Fleet.Migrate to a new generation on it.
+//
+// Steps are serialized; Run drives Step on a ticker for daemon
+// deployments, while tests and replay harnesses call Step at
+// deterministic quiesce boundaries — the same trace with Steps at the
+// same points yields the same decision sequence.
 type ElasticController struct {
 	f    *Fleet
 	opts ElasticOptions
 	obj  dse.Objective
 
 	// stepMu serializes Step calls and guards the private scheduler (a
-	// sched.Scheduler is single-goroutine).
+	// sched.Scheduler is single-goroutine). It is held across a
+	// migration's drain, so the state fields are guarded separately and
+	// Status stays responsive during exactly the window an operator
+	// wants to watch.
 	stepMu sync.Mutex
 	s      *sched.Scheduler // guarded by stepMu
 
@@ -186,51 +218,59 @@ type ElasticController struct {
 	preempts       int              // guarded by mu
 	migrations     int              // guarded by mu
 	driftStreak    int              // guarded by mu
+	pendingKey     string           // the winner the streak counts; guarded by mu
+	cooldownLeft   int              // guarded by mu
 	lastViolations int64            // guarded by mu
 	last           *ElasticDecision // guarded by mu
 }
 
-// NewElasticController attaches an elastic controller to a fleet. A
-// sweeper is optional: without one the controller reassigns and
-// preempts but never escalates to a migration.
+// NewElasticController attaches the controller to a fleet; the fleet's
+// GET /v1/fleet/repartition endpoint reports its Status. A sweeper is
+// optional unless NoReassign is set: without one the controller
+// reassigns and preempts but never migrates. It inherits the sweeper's
+// objective and scheduler configuration (else EDP and the engines').
 func NewElasticController(f *Fleet, opts ElasticOptions) (*ElasticController, error) {
 	if f == nil {
-		return nil, fmt.Errorf("fleet: elastic controller needs a fleet")
+		return nil, fmt.Errorf("fleet: controller needs a fleet")
 	}
-	if opts.ReassignThreshold < 0 || opts.EscalateThreshold < 0 {
-		return nil, fmt.Errorf("fleet: elastic thresholds must be >= 0")
+	if opts.ReassignThreshold < 0 || opts.EscalateThreshold < 0 || opts.Cooldown < 0 {
+		return nil, fmt.Errorf("fleet: controller thresholds and cooldown must be >= 0")
+	}
+	if opts.NoReassign && f.sweeper == nil {
+		return nil, fmt.Errorf("fleet: a controller without the reassign rung needs a fleet with a sweeper (set Options.Sweeper)")
 	}
 	if opts.PreemptBelow > 0 && !f.serveOpts.Elastic {
 		return nil, fmt.Errorf("fleet: the SLA-risk preemption trigger needs elastic engines (set Options.Serve.Elastic)")
 	}
-	opts = opts.withDefaults()
-	obj := opts.Objective
-	schedOpts := f.serveOpts.Sched
+	obj, schedOpts := dse.ObjectiveEDP, f.serveOpts.Sched
 	if f.sweeper != nil {
-		if opts.Objective == dse.ObjectiveEDP {
-			obj = f.sweeper.Options().Objective
-		}
-		schedOpts = f.sweeper.Options().Sched
+		obj, schedOpts = f.sweeper.Options().Objective, f.sweeper.Options().Sched
 	}
 	schedOpts.Priorities = nil
-	return &ElasticController{
+	c := &ElasticController{
 		f:    f,
-		opts: opts,
+		opts: opts.withDefaults(),
 		obj:  obj,
 		s:    sched.MustNew(f.cache, schedOpts),
-	}, nil
+	}
+	f.ctrlMu.Lock()
+	f.controller = c
+	f.ctrlMu.Unlock()
+	return c, nil
 }
 
-// ElasticStatus is a point-in-time elastic-controller snapshot.
+// ElasticStatus is a point-in-time controller snapshot (the
+// GET /v1/fleet/repartition payload).
 type ElasticStatus struct {
 	Steps       int `json:"steps"`
 	Reassigns   int `json:"reassigns"`
 	Preemptions int `json:"preemptions"`
 	Migrations  int `json:"migrations"`
-	// DriftStreak is the current escalation streak; no omitempty — 0
-	// ("no drift") is the state a dashboard most wants to confirm.
-	DriftStreak int              `json:"drift_streak"`
-	Last        *ElasticDecision `json:"last,omitempty"`
+	// DriftStreak and CooldownLeft carry no omitempty — 0 ("no drift",
+	// "free to act") is the state a dashboard most wants to confirm.
+	DriftStreak  int              `json:"drift_streak"`
+	CooldownLeft int              `json:"cooldown_left"`
+	Last         *ElasticDecision `json:"last,omitempty"`
 }
 
 // Status returns the controller's current state snapshot.
@@ -238,11 +278,12 @@ func (c *ElasticController) Status() ElasticStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ElasticStatus{
-		Steps:       c.steps,
-		Reassigns:   c.reassigns,
-		Preemptions: c.preempts,
-		Migrations:  c.migrations,
-		DriftStreak: c.driftStreak,
+		Steps:        c.steps,
+		Reassigns:    c.reassigns,
+		Preemptions:  c.preempts,
+		Migrations:   c.migrations,
+		DriftStreak:  c.driftStreak,
+		CooldownLeft: c.cooldownLeft,
 	}
 	if c.last != nil {
 		d := *c.last
@@ -251,23 +292,30 @@ func (c *ElasticController) Status() ElasticStatus {
 	return st
 }
 
-// Migrations returns how many escalated migrations the controller has
-// executed.
+// Migrations returns how many migrations the controller has executed.
 func (c *ElasticController) Migrations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.migrations
 }
 
-// Step runs one elastic control iteration: SLA-risk preemption first
-// (lowest-cost relief), then the neighbor-partition evaluation, then —
-// only on a hold with persistent unreachable drift — the escalation
-// check. Calling Step at deterministic points of a fixed submission
-// trace yields a deterministic decision sequence.
+// Step runs one control iteration up the ladder: SLA-risk preemption
+// first, then the neighbor-partition evaluation, then — only when no
+// reassignment was made — the migrate rung. Calling Step at
+// deterministic points of a fixed submission trace yields a
+// deterministic decision sequence.
+//
+// If ctx expires while a migration's retiring generation drains, the
+// migration itself has still happened: the controller commits its
+// post-migration state before reporting the interrupted drain as an
+// error, so controller and fleet never desync.
 func (c *ElasticController) Step(ctx context.Context) (ElasticDecision, error) {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
+	// State fields are written only here (under stepMu), so lock-free
+	// reads are safe; every write goes through setState so Status's
+	// locked reads are too.
 	d := ElasticDecision{Step: c.steps, Objective: c.obj.String()} //herald:nolock single-writer read: steps is written only inside Step, and stepMu serializes Steps
 	c.setState(func() { c.steps++ })
 	d.Generation = c.f.Generation()
@@ -307,88 +355,121 @@ func (c *ElasticController) Step(ctx context.Context) (ElasticDecision, error) {
 	}
 	d.ServingValue = servingValue
 
-	bestParts, bestValue, bestHDA, err := c.bestNeighbor(cur, mix)
-	if err != nil {
-		return d, err
-	}
-	d.CandidateValue = bestValue
-	if bestHDA != nil {
-		d.Candidate = bestHDA.String()
-	}
-	if servingValue > 0 && bestHDA != nil {
-		d.Improvement = (servingValue - bestValue) / servingValue
-	}
-
-	if bestParts != nil && d.Improvement >= c.opts.ReassignThreshold {
-		n, err := c.f.ReassignAll(bestParts)
+	if !c.opts.NoReassign {
+		bestParts, bestValue, bestHDA, err := c.bestNeighbor(cur, mix)
 		if err != nil {
-			return d, fmt.Errorf("fleet: reassigning to %s: %w", d.Candidate, err)
+			return d, err
 		}
-		d.Reassigned = n
-		d.Action = ElasticReassigned
-		c.setState(func() {
-			c.reassigns++
-			c.driftStreak = 0
-		})
-		return c.finish(d), nil
+		d.CandidateValue = bestValue
+		if bestHDA != nil {
+			d.Candidate = bestHDA.String()
+		}
+		if servingValue > 0 && bestHDA != nil {
+			d.Improvement = (servingValue - bestValue) / servingValue
+		}
+		if bestParts != nil && d.Improvement >= c.opts.ReassignThreshold {
+			n, err := c.f.ReassignAll(bestParts)
+			if err != nil {
+				return d, fmt.Errorf("fleet: reassigning to %s: %w", d.Candidate, err)
+			}
+			d.Reassigned = n
+			d.Action = ElasticReassigned
+			c.setState(func() {
+				c.reassigns++
+				c.driftStreak, c.pendingKey = 0, ""
+			})
+			return c.finish(d), nil
+		}
 	}
 
 	d.Action = ElasticHold
 	if d.Preempted > 0 {
 		d.Action = ElasticPreempted
 	}
-
-	// Escalation: re-slicing has nothing to offer; if the sweeper's
-	// winner is structurally out of reach (different sub count or
-	// styles) and keeps clearing the escalation threshold, migrate.
-	if c.f.sweeper != nil {
-		res, err := c.f.Resweep(mix)
-		if err != nil {
-			return d, err
-		}
-		wv := c.obj.Value(res.Best)
-		drift := servingValue > 0 &&
-			(servingValue-wv)/servingValue >= c.opts.EscalateThreshold &&
-			!res.Best.HDA.SamePartition(cur) &&
-			!reachableBySlicing(cur, res.Best.HDA)
-		if !drift {
-			c.setState(func() { c.driftStreak = 0 })
-			return c.finish(d), nil
-		}
-		c.setState(func() { c.driftStreak++ })
-		d.DriftStreak = c.driftStreak //herald:nolock single-writer read under stepMu (see the state-fields comment above)
-		if d.DriftStreak < c.opts.EscalateAfter {
-			return c.finish(d), nil
-		}
-		hdas := make([]*accel.HDA, len(serving))
-		for i := range hdas {
-			hdas[i] = res.Best.HDA
-		}
-		migErr := c.f.Migrate(ctx, hdas, mix)
-		if migErr != nil && c.f.Generation() == d.Generation {
-			return d, fmt.Errorf("fleet: escalated migration to %s failed: %w", res.Best.HDA, migErr)
-		}
-		c.f.ResetMix()
-		c.setState(func() {
-			c.migrations++
-			c.driftStreak = 0
-		})
-		d.Action = ElasticMigrated
-		d.Generation = c.f.Generation()
-		d.DriftStreak = 0
-		d = c.finish(d)
-		if migErr != nil {
-			return d, fmt.Errorf("fleet: escalated to %s, but draining the retired generation was interrupted: %w", res.Best.HDA, migErr)
-		}
-		return d, nil
+	if c.f.sweeper == nil {
+		return c.finish(d), nil
 	}
-	return c.finish(d), nil
+	return c.migrateRung(ctx, d, serving, servingValue, mix)
+}
+
+// migrateRung is the ladder's last rung: re-sweep the partition search
+// on the mix, compare the winner against the best distinct active
+// partition, and migrate once the same winner has cleared the
+// threshold on EscalateAfter consecutive steps outside a cooldown.
+// Step only: c.stepMu held; v0 is serving[0]'s objective value.
+func (c *ElasticController) migrateRung(ctx context.Context, d ElasticDecision, serving []*accel.HDA, v0 float64, mix *workload.Workload) (ElasticDecision, error) {
+	res, err := c.f.Resweep(mix)
+	if err != nil {
+		return d, err
+	}
+	winner := res.Best.HDA
+	d.Winner = winner.String()
+	d.WinnerValue = c.obj.Value(res.Best)
+	baseHDA, base, err := c.baseline(serving, v0, mix)
+	if err != nil {
+		return d, err
+	}
+
+	// Cooldown: observe, report, never act — and build no streak, so
+	// the cooldown and confirmation windows are strictly serial.
+	if c.cooldownLeft > 0 { //herald:nolock single-writer read under stepMu (see Step)
+		c.setState(func() {
+			c.cooldownLeft--
+			c.driftStreak, c.pendingKey = 0, ""
+		})
+		return c.finish(d), nil
+	}
+	drift := base > 0 && (base-d.WinnerValue)/base >= c.opts.EscalateThreshold &&
+		!winner.SamePartition(baseHDA) &&
+		(c.opts.NoReassign || !reachableBySlicing(serving[0], winner))
+	if !drift {
+		c.setState(func() { c.driftStreak, c.pendingKey = 0, "" })
+		return c.finish(d), nil
+	}
+	c.setState(func() {
+		if d.Winner == c.pendingKey {
+			c.driftStreak++
+		} else {
+			c.driftStreak, c.pendingKey = 1, d.Winner
+		}
+	})
+	if c.driftStreak < c.opts.EscalateAfter { //herald:nolock single-writer read under stepMu (see Step)
+		return c.finish(d), nil
+	}
+
+	// Act: spawn the new generation on the winner, hand the mix over
+	// for prewarming, drain and retire the old one.
+	hdas := make([]*accel.HDA, len(serving))
+	for i := range hdas {
+		hdas[i] = winner
+	}
+	migErr := c.f.Migrate(ctx, hdas, mix)
+	if migErr != nil && c.f.Generation() == d.Generation {
+		// The swap never happened (replica build failed): the fleet is
+		// untouched; the streak survives for the next step.
+		return d, fmt.Errorf("fleet: migration to %s failed: %w", d.Winner, migErr)
+	}
+	// The fleet switched generations — even if the old generation's
+	// drain was cut short, commit the post-migration state now.
+	c.f.ResetMix()
+	c.setState(func() {
+		c.migrations++
+		c.cooldownLeft = c.opts.Cooldown
+		c.driftStreak, c.pendingKey = 0, ""
+	})
+	d.Action = ElasticMigrated
+	d.Generation = c.f.Generation()
+	d = c.finish(d)
+	if migErr != nil {
+		return d, fmt.Errorf("fleet: migrated to %s, but draining the retired generation was interrupted (it will finish in the background or on Drain): %w", d.Winner, migErr)
+	}
+	return d, nil
 }
 
 // Run drives Step on a ticker until ctx is cancelled — the daemon form
-// of the control loop (heraldd -elastic). Errors are logged (via
-// Options.Logf) and do not stop the loop: a transient probe failure
-// must not kill the controller.
+// of the control loop (heraldd -elastic / -repartition). Errors are
+// logged (via Options.Logf) and do not stop the loop: a transient
+// probe failure must not kill the controller.
 func (c *ElasticController) Run(ctx context.Context, every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -412,10 +493,12 @@ func (c *ElasticController) setState(mutate func()) {
 	c.mu.Unlock()
 }
 
-// finish records the decision as the controller's latest and logs it.
+// finish records the decision as the controller's latest, copies the
+// streak and cooldown state into it, and logs it.
 func (c *ElasticController) finish(d ElasticDecision) ElasticDecision {
 	c.mu.Lock()
 	d.DriftStreak = c.driftStreak
+	d.CooldownLeft = c.cooldownLeft
 	last := d
 	c.last = &last
 	c.mu.Unlock()
@@ -452,6 +535,30 @@ func (c *ElasticController) evaluate(h *accel.HDA, mix *workload.Workload) (floa
 	})
 	c.s.Recycle(sch)
 	return v, nil
+}
+
+// baseline returns the migrate rung's reference: the best objective
+// value among the distinct active partitions, the fair baseline for
+// the sweep winner. serving[0]'s value v0 is already known, so a
+// homogeneous fleet costs no extra schedule. Step only: c.stepMu held.
+func (c *ElasticController) baseline(serving []*accel.HDA, v0 float64, mix *workload.Workload) (*accel.HDA, float64, error) {
+	bestHDA, best := serving[0], v0
+next:
+	for i, h := range serving[1:] {
+		for _, seen := range serving[:i+1] {
+			if h.SamePartition(seen) {
+				continue next
+			}
+		}
+		v, err := c.evaluate(h, mix)
+		if err != nil {
+			return nil, 0, err
+		}
+		if v < best {
+			best, bestHDA = v, h
+		}
+	}
+	return bestHDA, best, nil
 }
 
 // bestNeighbor evaluates every partition one PE quantum away from the
@@ -565,4 +672,22 @@ func (f *Fleet) PreemptBelow(priority, maxPerReplica int) int {
 		n += r.engine.Preempt(priority, maxPerReplica)
 	}
 	return n
+}
+
+// mixString renders a workload as "model:batches+..." for logs.
+func mixString(w *workload.Workload) string {
+	counts := make(map[string]int)
+	var order []string
+	for i := range w.Instances {
+		name := w.Instances[i].Model.Name
+		if counts[name] == 0 {
+			order = append(order, name)
+		}
+		counts[name]++
+	}
+	parts := make([]string, len(order))
+	for i, name := range order {
+		parts[i] = fmt.Sprintf("%s:%d", name, counts[name])
+	}
+	return strings.Join(parts, "+")
 }

@@ -35,15 +35,16 @@
 // supports Resweep: re-running the hardware-partition search on the
 // observed tenant mix against warm sweep state. Resweep only reports
 // what partition today's traffic would pick; acting on it is the
-// Controller's job.
+// ElasticController's job.
 //
-// # Dynamic repartitioning
+// # Run-time repartitioning
 //
-// The Controller closes the probe→action gap. Each Step re-sweeps the
-// observed mix, evaluates the serving partition on that same mix, and
-// — when the sweep winner beats it by a configurable objective
-// threshold for enough consecutive probes (hysteresis), outside a
-// post-migration cooldown — executes a live migration via
+// The ElasticController closes the probe→action gap with one action
+// ladder, cheapest rung first: preempt low-priority work on SLA risk,
+// re-slice every replica's PEs in place (Fleet.ReassignAll) when a
+// neighbor partition wins, and — when the sweep winner beats the best
+// active partition by a threshold for enough consecutive probes
+// (hysteresis), outside a post-migration cooldown — live-migrate via
 // Fleet.Migrate: a new generation of replica engines is built on the
 // winning partition (prewarmed with the mix so the cost-cache
 // locality hands over), dispatch atomically switches to them, and the
@@ -52,11 +53,11 @@
 // dispatched before the switch complete on their original engine, and
 // every retired engine's statistics fold into the fleet aggregates.
 //
-// Dispatch stays deterministic across migrations: a fixed submission
-// sequence with Controller.Step calls at fixed points always produces
-// the same replica assignments, the same decisions, and the same
-// final partition (replayable capacity planning, probed by the
-// deterministic-replay tests).
+// Dispatch stays deterministic across reassignments and migrations: a
+// fixed submission sequence with ElasticController.Step calls at fixed
+// points always produces the same replica assignments, the same
+// decisions, and the same final partition (replayable capacity
+// planning, probed by the deterministic-replay tests).
 //
 // # Fault tolerance
 //
@@ -150,7 +151,7 @@ type Options struct {
 	// over the partition space its HDAs came from. It is what makes
 	// Resweep possible: re-running the partition search on the
 	// observed tenant mix against warm schedulers and memo tables —
-	// the probe a dynamic-repartitioning controller periodically
+	// the probe the fleet controller periodically
 	// fires to learn whether workload drift has moved the optimum.
 	Sweeper *dse.Sweeper
 
@@ -170,7 +171,7 @@ type Options struct {
 	// MixHalfLife sets the observed-mix decay half-life, in accepted
 	// submissions: each model's mix weight halves every MixHalfLife
 	// subsequent accepted submissions, so ObservedMix (and with it the
-	// repartitioning controller's probes) tracks recent traffic
+	// controller's probes) tracks recent traffic
 	// instead of all-time history. Models decayed below 1% of the
 	// total weight drop out of the mix. 0 disables decay (all-time
 	// counts, the legacy behavior).
@@ -340,10 +341,10 @@ type Fleet struct {
 	resweepMu sync.Mutex
 	sweeper   *dse.Sweeper
 
-	// ctrlMu guards the attached repartitioning controller (set by
-	// NewController, read by the HTTP status endpoint).
+	// ctrlMu guards the attached controller (set by
+	// NewElasticController, read by the HTTP status endpoint).
 	ctrlMu     sync.Mutex
-	controller *Controller // guarded by ctrlMu
+	controller *ElasticController // guarded by ctrlMu
 
 	// Fault-tolerance state (see fault.go), under mu. The fault clock
 	// (faultCycle) advances only with submission arrival cycles;
@@ -1491,8 +1492,8 @@ const maxMixBatches = 8
 // workload w — or on the observed tenant mix when w is nil — and
 // returns the search result. It only reports what partition the
 // current traffic would pick; acting on it (spawning replicas on the
-// winner and draining the old ones) is the dynamic-repartitioning
-// controller's job, which builds on this probe. Sweeps are serialized
+// winner and draining the old ones) is the ElasticController's
+// job, which builds on this probe. Sweeps are serialized
 // but do not block dispatch.
 func (f *Fleet) Resweep(w *workload.Workload) (*dse.Result, error) {
 	if f.sweeper == nil {
@@ -1510,7 +1511,7 @@ func (f *Fleet) Resweep(w *workload.Workload) (*dse.Result, error) {
 
 // ResetMix clears the observed per-model traffic counters, so the
 // next ObservedMix/Resweep reflects only traffic accepted after the
-// reset. The repartitioning controller resets the mix after every
+// reset. The controller resets the mix after every
 // migration: the history that justified the previous partition must
 // not immediately argue against the one just installed.
 func (f *Fleet) ResetMix() {
@@ -1521,8 +1522,8 @@ func (f *Fleet) ResetMix() {
 }
 
 // Migrate replaces the active replicas with a new generation serving
-// the given HDAs — the live-repartitioning primitive the Controller
-// drives. The sequence is spawn → switch → drain → fold:
+// the given HDAs — the live-repartitioning primitive the
+// ElasticController's migrate rung drives. The sequence is spawn → switch → drain → fold:
 //
 //  1. New engines are built on the target partitions (and prewarmed
 //     with the given workload mix, if non-nil, so their scheduler

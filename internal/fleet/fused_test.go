@@ -296,7 +296,7 @@ func TestControllerConsumesDecayedMix(t *testing.T) {
 	}
 	f.mu.Unlock()
 
-	c, err := NewController(f, ControllerOptions{Threshold: 1e9}) // never migrate
+	c, err := NewElasticController(f, ElasticOptions{NoReassign: true, EscalateThreshold: 1e9}) // never migrate
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func submitErrorStatus(err error) (status int, code string, retryAfter int) {
 //	GET  /v1/fleet/decisions       the fault-handling decision log on
 //	                               its own (export an incident; see
 //	                               ExportFaultPlan)
-//	GET  /v1/fleet/repartition     repartitioning controller status
+//	GET  /v1/fleet/repartition     controller status (ElasticStatus)
 //	                               (404 when no controller is attached)
 //	POST /v1/drain                 drain every replica, final stats
 //	GET  /v1/models                servable model zoo
@@ -181,15 +181,15 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleRepartition reports the attached repartitioning controller's
-// status: lifecycle state, migration count, and the last decision.
+// handleRepartition reports the attached controller's status: action
+// counters, drift streak, cooldown, and the last decision.
 func (f *Fleet) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	f.ctrlMu.Lock()
 	c := f.controller
 	f.ctrlMu.Unlock()
 	if c == nil {
 		writeError(w, http.StatusNotFound, "not_found",
-			"no repartitioning controller attached (start one with fleet.NewController / heraldd -repartition)", 0)
+			"no controller attached (start one with fleet.NewElasticController / heraldd -elastic or -repartition)", 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, c.Status())

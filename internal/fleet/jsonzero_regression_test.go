@@ -38,5 +38,5 @@ func TestZeroValuedStatsFieldsSurviveJSON(t *testing.T) {
 		"retiring", "consecutive_failures", "dispatched", "inflight")
 	requireKeys(t, ReplicaHealth{},
 		"consecutive_failures", "pending_admit_faults", "horizon_cycles")
-	requireKeys(t, Decision{}, "explored", "pruned")
+	requireKeys(t, ElasticDecision{}, "winner_value", "reassigned", "preempted", "drift_streak", "cooldown_left")
 }

@@ -17,7 +17,7 @@ const DigestVersion = 1
 // Digest is the deterministic result of replaying one trace against
 // one candidate configuration: counters, conservation, per-tenant
 // latency percentiles, the fault-handling decision log, and any
-// repartitioning decisions. Two runs of the same trace + config render
+// controller decisions. Two runs of the same trace + config render
 // byte-identical digests (Canonical), so configs A/B by diffing
 // digests and CI asserts reproducibility by comparing bytes.
 type Digest struct {
@@ -40,10 +40,8 @@ type Digest struct {
 	Tenants []serve.TenantStats `json:"tenants"`
 	// FaultDecisions is the fleet's fault-handling decision log.
 	FaultDecisions []fleet.FaultDecision `json:"fault_decisions,omitempty"`
-	// Repartitions is every controller step taken during the replay.
-	Repartitions []fleet.Decision `json:"repartitions,omitempty"`
-	// ElasticDecisions is every elastic-controller step taken during
-	// the replay (the intra-HDA A/B arm; see Options.Elastic).
+	// ElasticDecisions is every controller step taken during the
+	// replay (see Options.Elastic).
 	ElasticDecisions []fleet.ElasticDecision `json:"elastic_decisions,omitempty"`
 }
 
@@ -74,12 +72,9 @@ type Setup struct {
 	// Window is the quiesce-window size in accepted submissions
 	// (0 = the whole trace in one window).
 	Window int `json:"window,omitempty"` //herald:jsonzero 0 means one window; absent means the same
-	// Repartition reports whether a controller stepped at window
+	// Elastic reports whether a controller stepped at window
 	// boundaries.
-	Repartition bool `json:"repartition,omitempty"` //herald:jsonzero false means no controller; absent means the same
-	// Elastic reports whether an elastic (intra-HDA) controller
-	// stepped at window boundaries.
-	Elastic bool `json:"elastic,omitempty"` //herald:jsonzero false means no elastic controller; absent means the same
+	Elastic bool `json:"elastic,omitempty"` //herald:jsonzero false means no controller; absent means the same
 }
 
 // Counters is the deterministic slice of fleet.Stats. Zero values are

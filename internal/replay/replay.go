@@ -2,7 +2,7 @@
 // (internal/capture) against a candidate fleet configuration and
 // renders a deterministic digest of everything that happened:
 // counters, conservation, per-tenant latency percentiles, the
-// fault-handling decision log and any repartitioning decisions.
+// fault-handling decision log and any controller decisions.
 //
 // Determinism is the whole point: the same trace, fault plan and
 // configuration produce byte-identical digests run after run, so an
@@ -13,8 +13,8 @@
 // (fleet.Options.StartPaused), a window of trace entries is submitted
 // against frozen engines — a static queue, so tenant-round-robin batch
 // composition is a pure function of the submissions — then the fleet
-// is resumed, the window's tickets are awaited, an optional
-// repartitioning controller steps at the (now idle) boundary, and the
+// is resumed, the window's tickets are awaited, an optional fleet
+// controller steps at the (now idle) boundary, and the
 // engines are paused again for the next window. Submission order is
 // the trace order, the fault clock advances only on arrival cycles,
 // and nothing reads the wall clock.
@@ -55,17 +55,11 @@ type Options struct {
 	// function of trace order, so any fixed Window is deterministic.
 	Window int
 
-	// Controller, when set, attaches a repartitioning controller
-	// (requires Fleet.Sweeper) and steps it once at every window
-	// boundary — the deterministic stand-in for the live ticker.
-	// Requires Window > 0.
-	Controller *fleet.ControllerOptions
-
-	// Elastic, when set, attaches an elastic (intra-HDA) controller
-	// instead and steps it at every window boundary. Fleet.Serve.Elastic
-	// is forced on so the SLA-risk preemption trigger can act. Requires
-	// Window > 0; mutually exclusive with Controller — the two are the
-	// A/B arms of a shoot-out, not a stack.
+	// Elastic, when set, attaches the fleet controller and steps it
+	// once at every window boundary — the deterministic stand-in for
+	// the live ticker. The migration-only preset (NoReassign) needs
+	// Fleet.Sweeper. Fleet.Serve.Elastic is forced on so the SLA-risk
+	// preemption trigger can act. Requires Window > 0.
 	Elastic *fleet.ElasticOptions
 }
 
@@ -81,14 +75,8 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	if o.Window < 0 {
 		return nil, fmt.Errorf("replay: window must be >= 0 (got %d)", o.Window)
 	}
-	if o.Controller != nil && o.Window <= 0 {
-		return nil, fmt.Errorf("replay: a repartitioning controller needs a window (set Options.Window)")
-	}
 	if o.Elastic != nil && o.Window <= 0 {
-		return nil, fmt.Errorf("replay: an elastic controller needs a window (set Options.Window)")
-	}
-	if o.Elastic != nil && o.Controller != nil {
-		return nil, fmt.Errorf("replay: Elastic and Controller are mutually exclusive (A/B them in separate runs)")
+		return nil, fmt.Errorf("replay: a controller needs a window (set Options.Window)")
 	}
 	for i, e := range tr.Entries {
 		if e.ArrivalCycle < 0 {
@@ -103,13 +91,6 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	f, err := fleet.New(cache, hdas, o.Fleet)
 	if err != nil {
 		return nil, err
-	}
-	var ctrl *fleet.Controller
-	if o.Controller != nil {
-		ctrl, err = fleet.NewController(f, *o.Controller)
-		if err != nil {
-			return nil, err
-		}
 	}
 	var ectrl *fleet.ElasticController
 	if o.Elastic != nil {
@@ -132,7 +113,6 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 			Replicas:      len(hdas),
 			ShedSLAFactor: o.Fleet.Health.ShedSLAFactor,
 			Window:        o.Window,
-			Repartition:   ctrl != nil,
 			Elastic:       ectrl != nil,
 		},
 	}
@@ -173,17 +153,10 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 			}
 		}
 		tickets = tickets[:0]
-		if step && ctrl != nil {
-			dec, err := ctrl.Step(ctx)
-			if err != nil {
-				return fmt.Errorf("replay: controller step: %w", err)
-			}
-			d.Repartitions = append(d.Repartitions, dec)
-		}
 		if step && ectrl != nil {
 			dec, err := ectrl.Step(ctx)
 			if err != nil {
-				return fmt.Errorf("replay: elastic step: %w", err)
+				return fmt.Errorf("replay: controller step: %w", err)
 			}
 			d.ElasticDecisions = append(d.ElasticDecisions, dec)
 		}

@@ -190,7 +190,7 @@ func TestRunValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "fleet-level fusion") {
 		t.Errorf("fleet-level fusion not rejected: %v", err)
 	}
-	ctl := Options{Fleet: fleet.DefaultOptions(), Controller: &fleet.ControllerOptions{}}
+	ctl := Options{Fleet: fleet.DefaultOptions(), Elastic: &fleet.ElasticOptions{}}
 	if _, err := Run(ctx, cache, hdas, tr, ctl); err == nil ||
 		!strings.Contains(err.Error(), "window") {
 		t.Errorf("controller without window not rejected: %v", err)
